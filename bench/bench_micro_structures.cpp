@@ -702,121 +702,6 @@ miniSweep(double scale)
     return m;
 }
 
-/** One point of the lane-count scaling curve. */
-struct LanePoint
-{
-    int lanes = 0;
-    double wallSeconds = 0.0;
-    double eventsPerSec = 0.0;
-    double speedup = 0.0; ///< vs the serial (lanes = 0) kernel
-    bool identical = false;
-};
-
-struct ParallelKernelMeasurement
-{
-    double scale = 0.0;
-    unsigned hardwareThreads = 0;
-    bool degraded = false; ///< single hardware thread: no real scaling
-    std::uint64_t events = 0;
-    double serialSeconds = 0.0;
-    double serialEventsPerSec = 0.0;
-    std::vector<LanePoint> sweep;
-    // Scalar summary of the widest point, kept alongside the curve so
-    // existing consumers (scripts/check.sh schema gate, cross-run
-    // diffs) keep one stable anchor. identical ANDs the whole curve.
-    int lanes = 0;
-    double parallelSeconds = 0.0;
-    double parallelEventsPerSec = 0.0;
-    bool identical = false;
-};
-
-/**
- * Intra-run lane kernel scaling curve: the same MT run under the
- * Trans-FW config with the serial kernel (lanes = 0) and with per-GPU
- * event lanes at 1, 2, 4, and hardware-concurrency workers (deduped;
- * TRANSFW_JOBS overrides the top point). A 1-core box cannot measure
- * scaling, so it records the curve it sees plus degraded = true
- * instead of a fiction; the identical_results flag — every point must
- * reproduce the serial run bit-for-bit — is the part scripts/check.sh
- * always gates on.
- */
-ParallelKernelMeasurement
-parallelKernel(bool smoke)
-{
-    ParallelKernelMeasurement m;
-    m.scale = smoke ? 0.25 : 1.0;
-    m.hardwareThreads = sim::TaskPool::defaultThreads();
-    int top = static_cast<int>(m.hardwareThreads);
-    if (const char *env = std::getenv("TRANSFW_JOBS")) {
-        int jobs = std::atoi(env);
-        if (jobs > 0)
-            top = jobs;
-    }
-    m.degraded = m.hardwareThreads <= 1;
-    if (m.degraded)
-        std::fprintf(stderr,
-                     "warning: 1 hardware thread — lane scaling cannot "
-                     "be measured here; recording degraded curve\n");
-
-    std::vector<int> counts = {1, 2, 4, top};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-
-    cfg::SystemConfig config = sys::transFwConfig();
-    config.sim.lanes = 0;
-    sys::SimResults serialRes = sys::runApp("MT", config, m.scale);
-
-    const int rounds = smoke ? 2 : 5;
-    double serialBest = 1e30;
-    for (int r = 0; r < rounds; ++r) {
-        auto start = std::chrono::steady_clock::now();
-        serialRes = sys::runApp("MT", config, m.scale);
-        serialBest = std::min(serialBest, secondsSince(start));
-    }
-    m.events = serialRes.eventsExecuted;
-    m.serialSeconds = serialBest;
-    if (serialBest > 0.0)
-        m.serialEventsPerSec =
-            static_cast<double>(serialRes.eventsExecuted) / serialBest;
-
-    m.identical = true;
-    for (int lanes : counts) {
-        std::fprintf(stderr, "  lanes=%d...\n", lanes);
-        config.sim.lanes = lanes;
-        sys::SimResults laneRes = sys::runApp("MT", config, m.scale);
-        double laneBest = 1e30;
-        for (int r = 0; r < rounds; ++r) {
-            auto start = std::chrono::steady_clock::now();
-            laneRes = sys::runApp("MT", config, m.scale);
-            laneBest = std::min(laneBest, secondsSince(start));
-        }
-
-        LanePoint p;
-        p.lanes = lanes;
-        p.wallSeconds = laneBest;
-        if (laneBest > 0.0)
-            p.eventsPerSec =
-                static_cast<double>(laneRes.eventsExecuted) / laneBest;
-        p.speedup = m.serialEventsPerSec > 0.0
-                        ? p.eventsPerSec / m.serialEventsPerSec
-                        : 0.0;
-        p.identical =
-            serialRes.execTime == laneRes.execTime &&
-            serialRes.eventsExecuted == laneRes.eventsExecuted &&
-            serialRes.farFaults == laneRes.farFaults &&
-            serialRes.xlatLatencyHist.count() ==
-                laneRes.xlatLatencyHist.count();
-        m.identical = m.identical && p.identical;
-        m.sweep.push_back(p);
-
-        m.lanes = p.lanes;
-        m.parallelSeconds = p.wallSeconds;
-        m.parallelEventsPerSec = p.eventsPerSec;
-    }
-    return m;
-}
-
 /** One point of the pod-scaling surface. */
 struct PodPoint
 {
@@ -990,9 +875,6 @@ writeCoreJson(const std::string &path, bool smoke)
     std::fprintf(stderr, "mini sweep: scale %.2f...\n", sweepScale);
     SweepMeasurement sweep = miniSweep(sweepScale);
 
-    std::fprintf(stderr, "parallel kernel: lane A/B...\n");
-    ParallelKernelMeasurement lanes = parallelKernel(smoke);
-
     std::fprintf(stderr, "pod scaling: gpus x topology...\n");
     PodScalingMeasurement pod = podScaling(smoke);
 
@@ -1068,43 +950,6 @@ writeCoreJson(const std::string &path, bool smoke)
     std::fprintf(f, "    \"identical_results\": %s\n",
                  sweep.identical ? "true" : "false");
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"parallel_kernel\": {\n");
-    std::fprintf(f, "    \"app\": \"MT\",\n");
-    std::fprintf(f, "    \"config\": \"transfw\",\n");
-    std::fprintf(f, "    \"scale\": %.2f,\n", lanes.scale);
-    std::fprintf(f, "    \"hardware_threads\": %u,\n",
-                 lanes.hardwareThreads);
-    std::fprintf(f, "    \"degraded\": %s,\n",
-                 lanes.degraded ? "true" : "false");
-    std::fprintf(f, "    \"lanes\": %d,\n", lanes.lanes);
-    std::fprintf(f, "    \"events_executed\": %llu,\n",
-                 static_cast<unsigned long long>(lanes.events));
-    std::fprintf(f, "    \"serial_wall_seconds\": %.4f,\n",
-                 lanes.serialSeconds);
-    std::fprintf(f, "    \"lane_wall_seconds\": %.4f,\n",
-                 lanes.parallelSeconds);
-    std::fprintf(f, "    \"serial_events_per_sec\": %.0f,\n",
-                 lanes.serialEventsPerSec);
-    std::fprintf(f, "    \"lane_events_per_sec\": %.0f,\n",
-                 lanes.parallelEventsPerSec);
-    std::fprintf(f, "    \"speedup\": %.3f,\n",
-                 ratio(lanes.parallelEventsPerSec,
-                       lanes.serialEventsPerSec));
-    std::fprintf(f, "    \"sweep\": [\n");
-    for (std::size_t i = 0; i < lanes.sweep.size(); ++i) {
-        const LanePoint &p = lanes.sweep[i];
-        std::fprintf(f,
-                     "      {\"lanes\": %d, \"wall_seconds\": %.4f, "
-                     "\"events_per_sec\": %.0f, \"speedup\": %.3f, "
-                     "\"identical\": %s}%s\n",
-                     p.lanes, p.wallSeconds, p.eventsPerSec, p.speedup,
-                     p.identical ? "true" : "false",
-                     i + 1 < lanes.sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "    ],\n");
-    std::fprintf(f, "    \"identical_results\": %s\n",
-                 lanes.identical ? "true" : "false");
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"pod_scaling\": {\n");
     std::fprintf(f, "    \"app\": \"MT\",\n");
     std::fprintf(f, "    \"config\": \"transfw\",\n");
@@ -1169,12 +1014,7 @@ writeCoreJson(const std::string &path, bool smoke)
                        : ratio(kPreRefactorWallSeconds,
                                e2e.fullWallSeconds),
                  path.c_str());
-    std::fprintf(stderr,
-                 "parallel kernel %.2fx on %d lanes (identical=%s)\n",
-                 ratio(lanes.parallelEventsPerSec,
-                       lanes.serialEventsPerSec),
-                 lanes.lanes, lanes.identical ? "yes" : "no");
-    return sweep.identical && lanes.identical ? 0 : 1;
+    return sweep.identical ? 0 : 1;
 }
 
 } // namespace

@@ -56,8 +56,6 @@ usage(const char *argv0)
         "  --asap --least-tlb  comparator techniques\n"
         "  --cold              disable first-touch pre-placement\n"
         "  --seed N\n"
-        "  --lanes N           per-GPU event lanes (0 = serial kernel,\n"
-        "                      execution detail: results are identical)\n"
         "output:\n"
         "  --report            full named-scalar report (default: summary)\n"
         "  --csv               one CSV row (+ header)\n"
@@ -111,8 +109,6 @@ main(int argc, char **argv)
             config.cusPerGpu = std::atoi(next());
         } else if (arg == "--slots") {
             config.wavefrontSlotsPerCu = std::atoi(next());
-        } else if (arg == "--lanes") {
-            config.sim.lanes = std::atoi(next());
         } else if (arg == "--walkers") {
             const char *value = next();
             if (std::sscanf(value, "%d,%d", &config.gmmuWalkers,

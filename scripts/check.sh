@@ -6,8 +6,8 @@
 # AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
 # promoted to a hard abort (TRANSFW_OBS_STRICT) — a single attribution
 # or span-nesting violation anywhere in the suite fails the gate — and
-# finally with ThreadSanitizer, which races the per-GPU lane kernel's
-# parallel-vs-serial bit-identity tests under every lane count.
+# finally with ThreadSanitizer, which races the parallel sweep runner
+# (SweepRunner over TaskPool, whole simulations per worker thread).
 # In between, the run-ledger gate replays a small config matrix through
 # ./build/examples/simulate into a fresh transfw-ledger-v1 JSONL file,
 # validates the schema, and diffs it against the committed
@@ -24,7 +24,7 @@
 #                               # (shared/loaded machines)
 #   TRANSFW_SKIP_LEDGER_GATE=1  # skip the run-ledger regression gate
 #   TRANSFW_SKIP_TSAN=1         # skip the ThreadSanitizer build+test pass
-#   TRANSFW_JOBS=N              # lane/worker count for the parallel bits
+#   TRANSFW_JOBS=N              # SweepRunner/TaskPool worker threads
 #
 # Exit code is non-zero when any build, test, schema check or gate
 # fails.
@@ -71,9 +71,6 @@ for section, fields in {
                      "single_pass_probes_per_sec", "speedup"],
     "sweep": ["serial_seconds", "parallel_seconds", "parallel_jobs",
               "degraded", "identical_results"],
-    "parallel_kernel": ["hardware_threads", "degraded", "lanes",
-                        "serial_events_per_sec", "lane_events_per_sec",
-                        "speedup", "sweep", "identical_results"],
     "pod_scaling": ["app", "config", "scale", "host_shards",
                     "hardware_threads", "degraded", "points"],
     "sim_end_to_end": ["rate_scale", "rate_wall_seconds",
@@ -82,16 +79,6 @@ for section, fields in {
     for f in fields:
         assert f in doc[section], f"{section}.{f} missing"
 assert doc["sweep"]["identical_results"] is True
-assert doc["parallel_kernel"]["identical_results"] is True
-assert doc["parallel_kernel"]["lanes"] >= 1
-curve = doc["parallel_kernel"]["sweep"]
-assert isinstance(curve, list) and curve, "empty lanes sweep"
-for point in curve:
-    for f in ("lanes", "wall_seconds", "events_per_sec", "speedup",
-              "identical"):
-        assert f in point, f"parallel_kernel.sweep[].{f} missing"
-    assert point["identical"] is True, \
-        f"lane count {point['lanes']} diverged from serial"
 pod = doc["pod_scaling"]["points"]
 assert isinstance(pod, list) and pod, "empty pod_scaling points"
 topos = set()
@@ -136,27 +123,6 @@ print(f"events/sec now {now:.0f} vs committed {ref:.0f} "
 if now < floor:
     sys.exit("perf gate FAILED: >20% below the committed rate "
              "(set TRANSFW_SKIP_PERF_GATE=1 on shared machines)")
-# The lane kernel must keep producing results bit-identical to the
-# serial kernel; that part is machine-independent and always gated.
-lanes = json.load(open(sys.argv[1]))["parallel_kernel"]
-if not lanes["identical_results"]:
-    sys.exit("perf gate FAILED: lane kernel diverged from serial")
-print(f"parallel kernel {lanes['speedup']:.2f}x on {lanes['lanes']} "
-      f"lanes, identical to serial")
-# Lane-scaling gate: with real cores available, running 4+ lanes must
-# never be slower than the serial kernel — a losing parallel kernel
-# is a regression, not a shrug. A 1-core box records degraded: true
-# and skips this (it cannot measure scaling at all).
-if lanes.get("degraded") or lanes["hardware_threads"] < 4:
-    print(f"lane scaling gate skipped "
-          f"(hardware_threads={lanes['hardware_threads']})")
-else:
-    for point in lanes["sweep"]:
-        if point["lanes"] >= 4 and point["speedup"] < 1.0:
-            sys.exit(f"perf gate FAILED: {point['lanes']} lanes ran "
-                     f"{point['speedup']:.2f}x vs serial — the lane "
-                     f"kernel is losing on a multi-core box")
-    print("lane scaling gate OK")
 print("perf gate OK")
 EOF
 else
@@ -171,13 +137,19 @@ else
     LEDGER_NEW=$(mktemp /tmp/transfw_ledger.XXXXXX.jsonl)
     rm -f "$LEDGER_NEW" # simulate appends; start from an empty ledger
     # Small deterministic config matrix: both fault modes, with and
-    # without Trans-FW. Must match the matrix the committed golden was
-    # generated from (regenerate with --refresh-ledger).
+    # without Trans-FW, plus the configs where one GPU's events touch
+    # another GPU's state (remote-map access counters, Least-TLB
+    # sibling probes, a sharded mesh pod), which pin the event
+    # kernel's cross-GPU order. Must match the matrix the committed
+    # golden was generated from (regenerate with --refresh-ledger).
     LEDGER_MATRIX=(
         "--app MT"
         "--app MT --transfw"
         "--app KM --fault-mode sw"
         "--app KM --fault-mode sw --transfw"
+        "--app PR --transfw --policy remote-map"
+        "--app MT --least-tlb"
+        "--app MT --transfw --topology mesh --gpus 8 --shards 2 --cus 4"
     )
     for args in "${LEDGER_MATRIX[@]}"; do
         # shellcheck disable=SC2086
@@ -188,7 +160,7 @@ else
         python3 - "$LEDGER_NEW" <<'EOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert len(lines) == 4, f"expected 4 records, got {len(lines)}"
+assert len(lines) == 7, f"expected 7 records, got {len(lines)}"
 for n, line in enumerate(lines, 1):
     rec = json.loads(line)
     assert rec["schema"] == "transfw-ledger-v1", f"line {n}: schema"
@@ -201,11 +173,11 @@ for n, line in enumerate(lines, 1):
     assert "timestamp" in rec["wall"], f"line {n}: wall.timestamp"
     for key in ("exec.cycles", "exec.events", "exec.peakEventBacklog"):
         assert key in rec["metrics"], f"line {n}: metrics[{key}]"
-print("transfw-ledger-v1 schema OK (4 records)")
+print("transfw-ledger-v1 schema OK (7 records)")
 EOF
     else
         grep -q '"schema":"transfw-ledger-v1"' "$LEDGER_NEW"
-        [[ "$(wc -l < "$LEDGER_NEW")" == "4" ]]
+        [[ "$(wc -l < "$LEDGER_NEW")" == "7" ]]
         echo "transfw-ledger-v1 schema OK (grep fallback)"
     fi
     if [[ "$REFRESH_LEDGER" == "1" || ! -f LEDGER_golden.jsonl ]]; then
@@ -293,28 +265,14 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
     --gpus 16 --shards 4 --cus 4 --scale 0.05 >/dev/null
 echo "asan pod smoke OK (16-GPU ring, 4 shards)"
 
-echo "== thread sanitizer build (lane kernel data races) =="
-# TSan is the gate for the per-GPU lane kernel: the parallel-vs-serial
-# bit-identity tests run every lane count under it, so any unsynchron-
-# ized cross-lane access surfaces as a hard failure here.
+echo "== thread sanitizer build (parallel sweep data races) =="
+# TSan races the one place simulations share a process concurrently:
+# test_sweep runs SweepRunner jobs on TaskPool workers, each owning its
+# thread-local object pools, so any cross-thread access surfaces here.
 if [[ "${TRANSFW_SKIP_TSAN:-0}" == "1" ]]; then
     echo "skipped (TRANSFW_SKIP_TSAN=1)"
 else
     cmake -B build-tsan -S . -DTRANSFW_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
-    # Long-run lane soak: many more randomized (link latency, lane
-    # count) rounds than the plain suite runs, to give TSan real
-    # scheduling diversity over the worker pool, mailbox batches, and
-    # shared-pool handoffs.
-    echo "== thread sanitizer lane soak (TRANSFW_STRESS_ROUNDS=24) =="
-    TRANSFW_STRESS_ROUNDS=24 ctest --test-dir build-tsan \
-        --output-on-failure -R "ParallelKernel.RandomizedLatencyLaneStress"
-    # Pod smoke under tsan: the same 16-GPU ring x 4-shard config with
-    # the lane kernel on, racing the shard crossbar against the per-GPU
-    # lane workers.
-    TRANSFW_JOBS="${TRANSFW_JOBS:-4}" ./build-tsan/examples/simulate \
-        --app MT --transfw --topology ring --gpus 16 --shards 4 \
-        --cus 4 --lanes 4 --scale 0.05 >/dev/null
-    echo "tsan pod smoke OK (16-GPU ring, 4 shards, 4 lanes)"
 fi

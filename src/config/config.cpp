@@ -115,10 +115,6 @@ SystemConfig::key() const
     u(obs.selfProfile);
     u(obs.profileStride);
     u(seed);
-    // sim.lanes is intentionally absent: the lane count is a host-side
-    // execution strategy, and every lane count yields bit-identical
-    // simulation results (test_parallel_kernel pins this), so it must
-    // not fragment the sweep memo.
     return k;
 }
 
@@ -138,8 +134,6 @@ SystemConfig::validate() const
         sim::fatal("walker counts must be positive");
     if (transFw.enabled && transFw.forwardThreshold < 0)
         sim::fatal("forwardThreshold must be non-negative");
-    if (sim.lanes < 0)
-        sim::fatal("sim.lanes must be non-negative (0 = serial)");
     if (hostShards < 1 || hostShards > 64)
         sim::fatal("hostShards must be in [1, 64]");
     if (hostShards > 1 && faultMode == FaultMode::UvmDriver)

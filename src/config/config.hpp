@@ -142,28 +142,6 @@ struct ObsConfig
     std::uint32_t profileStride = 16; ///< sample 1 dispatch in N
 };
 
-/**
- * Event-kernel execution knobs. Purely a host-side execution strategy:
- * every lane count produces bit-identical simulation results (the
- * parallel kernel is deterministic by construction — see DESIGN.md's
- * lane/lookahead section), so these fields deliberately do NOT enter
- * SystemConfig::key().
- */
-struct SimConfig
-{
-    /**
-     * Worker threads for the per-GPU event lanes: 0 runs every lane on
-     * the calling thread (the serial fallback), N > 0 runs the GPU
-     * lanes on min(N, numGpus) workers. The host-MMU lane always
-     * executes on the calling thread. Lanes advance under adaptive
-     * per-lane lookahead windows derived from each lane's uplink
-     * latency; lanes with no work before the window bound skip the
-     * window entirely, so over-provisioning lanes on quiet
-     * configurations costs only the idle workers.
-     */
-    int lanes = 0;
-};
-
 /** Oracle switches for the Section III-B room-for-improvement study. */
 struct OracleConfig
 {
@@ -263,7 +241,6 @@ struct SystemConfig
     LeastTlbConfig leastTlb;
     OracleConfig oracle;
     ObsConfig obs;
-    SimConfig sim;
 
     std::uint64_t seed = 1;
 

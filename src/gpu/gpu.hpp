@@ -138,7 +138,7 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     /** Observability: mirror latency charges per request (propagates
      *  to the GMMU). */
     void
-    attachAttribution(obs::AttribSink *attrib)
+    attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
         gmmu_.attachAttribution(attrib);
@@ -199,7 +199,7 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     Stats stats_;
     stats::LatencyBreakdown breakdown_;
     obs::SpanRecorder *spans_ = nullptr;
-    obs::AttribSink *attrib_ = nullptr;
+    obs::AttributionEngine *attrib_ = nullptr;
 };
 
 } // namespace transfw::gpu

@@ -4,14 +4,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/sim_object.hpp"
 
 namespace transfw::ic {
@@ -54,50 +52,15 @@ struct HopTiming
 class Link : public sim::SimObject
 {
   public:
-    /**
-     * How a channel hands a fully-arrived message to the receiver:
-     * called with the arrival tick and the delivery callback. Defaults
-     * to scheduleAt on the link's own event queue; the parallel lane
-     * kernel overrides it per channel to cross lane boundaries (e.g.
-     * GPU uplink control messages land in a barrier-drained mailbox
-     * instead of a queue another thread is concurrently executing).
-     */
-    using Deliver =
-        std::function<void(sim::Tick, sim::EventQueue::Callback)>;
-
     Link(sim::EventQueue &eq, std::string name, const LinkConfig &config)
         : SimObject(eq, std::move(name)), config_(config)
     {}
 
-    /** Override delivery of bulk data-channel messages. */
-    void setDataDelivery(Deliver deliver)
-    {
-        dataDeliver_ = std::move(deliver);
-    }
-    /** Override delivery of priority control-channel messages. */
-    void setCtrlDelivery(Deliver deliver)
-    {
-        ctrlDeliver_ = std::move(deliver);
-    }
-
     /**
-     * Batch-forwarding fast path for lane-crossing control traffic:
-     * every control message is parked in @p mailbox instead of being
-     * handed through the type-erased Deliver hop. The lane kernel
-     * drains the batch once per lookahead window, so the per-message
-     * cost on the forwarding/fault/reply uplink path collapses to an
-     * InlineVec append on the sending lane's own cache lines.
-     * Takes precedence over setCtrlDelivery; pass nullptr to clear.
-     */
-    void setCtrlMailbox(sim::Mailbox *mailbox) { ctrlMailbox_ = mailbox; }
-
-    /**
-     * Direct-schedule fast path for control messages that may land
-     * straight in another lane's (parked) event queue — host→GPU
-     * replies and forwards, which the lookahead protocol guarantees
-     * arrive beyond every tick the receiving lane has executed. Skips
-     * the Deliver hop entirely. Takes precedence over setCtrlDelivery;
-     * pass nullptr to clear.
+     * Deliver control messages on @p target instead of the link's own
+     * queue: each link runs on its sender's clock, and a control
+     * message is delivered on the receiver's queue (host -> GPU on
+     * the GPU's, GPU -> host on the host's). Pass nullptr to clear.
      */
     void setCtrlTarget(sim::EventQueue *target) { ctrlTarget_ = target; }
 
@@ -118,10 +81,7 @@ class Link : public sim::SimObject
         ser = std::max<sim::Tick>(ser, 1);
         busyUntil_ = depart + ser;
         sim::Tick arrive = busyUntil_ + config_.latency;
-        if (dataDeliver_)
-            dataDeliver_(arrive, std::move(deliver));
-        else
-            eventq().scheduleAt(arrive, std::move(deliver));
+        eventq().scheduleAt(arrive, std::move(deliver));
         bytesSent_ += bytes;
         ++messages_;
 #if TRANSFW_OBS
@@ -143,14 +103,8 @@ class Link : public sim::SimObject
              HopTiming *timing = nullptr)
     {
         sim::Tick arrive = curTick() + 2 + config_.latency;
-        if (ctrlMailbox_)
-            ctrlMailbox_->post(arrive, std::move(deliver));
-        else if (ctrlTarget_)
-            ctrlTarget_->scheduleAt(arrive, std::move(deliver));
-        else if (ctrlDeliver_)
-            ctrlDeliver_(arrive, std::move(deliver));
-        else
-            eventq().scheduleAt(arrive, std::move(deliver));
+        (ctrlTarget_ ? *ctrlTarget_ : eventq())
+            .scheduleAt(arrive, std::move(deliver));
         bytesSent_ += bytes;
         ++messages_;
 #if TRANSFW_OBS
@@ -179,7 +133,7 @@ class Link : public sim::SimObject
     {
         // Departure ticks are monotonic, so one binary search finds
         // the still-pending suffix without mutating any state (the
-        // gauge may be probed from the sampler at a lane barrier).
+        // gauge may be probed by the sampler between events).
         sim::Tick now = curTick();
         auto it =
             std::upper_bound(inflight_.begin(), inflight_.end(), now);
@@ -272,9 +226,6 @@ class Link : public sim::SimObject
     std::deque<sim::Tick> inflight_; ///< departure ticks of queued sends
     std::unique_ptr<obs::LogHistogram> waitHist_; ///< lazy, data channel
 #endif
-    Deliver dataDeliver_;
-    Deliver ctrlDeliver_;
-    sim::Mailbox *ctrlMailbox_ = nullptr;
     sim::EventQueue *ctrlTarget_ = nullptr;
 };
 

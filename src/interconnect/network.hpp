@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,28 +78,28 @@ class Network
     }
 
     /**
-     * Parallel lane kernel wiring: re-home every link onto the event
-     * queue of the lane that drives it. A link's queue supplies its
-     * clock (curTick / busyUntil accounting) and its default delivery
-     * target, so it must belong to the one lane that calls its send
-     * methods: GPU @p g's uplink is driven by lane g (far faults,
-     * remote-lookup notifications), while downlinks and every fabric
-     * link are driven by the host lane (replies, forwards, page
-     * transfers, migration routing). Call once, before any traffic.
+     * Re-home every link onto the event queue that drives it. A link's
+     * queue supplies its clock (curTick / busyUntil accounting) and its
+     * default delivery target, so it must be the queue of the side that
+     * calls its send methods: GPU @p g's uplink is driven by GPU g's
+     * queue (far faults, remote-lookup notifications), while downlinks
+     * and every fabric link are driven by the host queue (replies,
+     * forwards, page transfers, migration routing). Call once, before
+     * any traffic.
      */
     void
-    bindLaneQueues(const std::vector<sim::EventQueue *> &gpu_lanes,
-                   sim::EventQueue &host_lane)
+    bindQueues(const std::vector<sim::EventQueue *> &gpu_queues,
+               sim::EventQueue &host_queue)
     {
         for (int g = 0; g < numGpus_; ++g) {
             up_[static_cast<std::size_t>(g)]->rebindEventQueue(
-                *gpu_lanes.at(static_cast<std::size_t>(g)));
+                *gpu_queues.at(static_cast<std::size_t>(g)));
             down_[static_cast<std::size_t>(g)]->rebindEventQueue(
-                host_lane);
+                host_queue);
         }
         for (auto &node : adj_)
             for (auto &edge : node)
-                edge.link->rebindEventQueue(host_lane);
+                edge.link->rebindEventQueue(host_queue);
     }
 
     /**
@@ -180,41 +181,6 @@ class Network
         for (const auto &node : adj_)
             n += node.size();
         return n;
-    }
-
-    /**
-     * Topology-aware GPU ordering for lane-group assignment: GPUs
-     * adjacent in the returned sequence are the tightest-latency
-     * neighbours the interconnect has, so a contiguous block of the
-     * sequence is the right set to co-schedule on one worker (their
-     * mutual traffic has the smallest lower-bound latencies, and
-     * block-partitioning keeps each worker walking a compact slice of
-     * per-GPU state). Ring: identity is the adjacency walk. Mesh: the
-     * boustrophedon (snake) walk — consecutive entries are always grid
-     * neighbours. Switch: identity keeps each leaf's GPU group
-     * index-contiguous. All-to-all: every pair is equidistant, index
-     * order is already optimal.
-     */
-    std::vector<int>
-    laneAffinityOrder() const
-    {
-        std::vector<int> order;
-        order.reserve(static_cast<std::size_t>(numGpus_));
-        if (topology_ == Topology::Mesh2D) {
-            int rows = (numGpus_ + meshCols_ - 1) / meshCols_;
-            for (int r = 0; r < rows; ++r) {
-                for (int i = 0; i < meshCols_; ++i) {
-                    int c = (r % 2 == 0) ? i : meshCols_ - 1 - i;
-                    int g = r * meshCols_ + c;
-                    if (g < numGpus_)
-                        order.push_back(g);
-                }
-            }
-        } else {
-            for (int g = 0; g < numGpus_; ++g)
-                order.push_back(g);
-        }
-        return order;
     }
 
     /** Direct link accessor (tests; only actual topology edges). */

@@ -91,7 +91,7 @@ class HostMmu : public sim::SimObject
     /** Observability: record lifecycle spans into @p spans (nullable). */
     void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
     /** Observability: mirror latency charges per request (nullable). */
-    void attachAttribution(obs::AttribSink *attrib)
+    void attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
     }
@@ -130,7 +130,7 @@ class HostMmu : public sim::SimObject
 
     Stats stats_;
     obs::SpanRecorder *spans_ = nullptr;
-    obs::AttribSink *attrib_ = nullptr;
+    obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 };
 

@@ -34,8 +34,8 @@ namespace transfw::mmu {
  * event-for-event identical, same metric names, no routing event and
  * no HostRoute charge.
  *
- * Everything here runs on the host lane, so sharding is invisible to
- * the lane kernel: lane bit-identity holds at any shard count.
+ * Everything here runs on the host queue, so sharding never changes
+ * the order in which the event kernel merges host and GPU events.
  */
 class HostMmuCluster
 {
@@ -215,7 +215,7 @@ class HostMmuCluster
             s->attachSpans(spans);
     }
     void
-    attachAttribution(obs::AttribSink *attrib)
+    attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
         for (auto &s : shards_)
@@ -362,7 +362,7 @@ class HostMmuCluster
     const cfg::SystemConfig &cfg_;
     bool roundRobin_;
     std::vector<std::unique_ptr<HostMmu>> shards_;
-    obs::AttribSink *attrib_ = nullptr;
+    obs::AttributionEngine *attrib_ = nullptr;
     int rrNext_ = 0;
     std::uint64_t routedFaults_ = 0;
 };

@@ -63,12 +63,10 @@ using XlatPtr = sim::PoolRef<XlatRequest>;
  * — which is exactly the invariant obs::Checks enforces at finish.
  *
  * @p attrib may be null (observability detached); under TRANSFW_OBS=0
- * the mirror compiles out and only the breakdown update remains. The
- * sink is the engine itself on the host lane and an AttribRelay on a
- * GPU lane (replayed at the next window barrier).
+ * the mirror compiles out and only the breakdown update remains.
  */
 inline void
-charge(XlatRequest &req, obs::AttribSink *attrib,
+charge(XlatRequest &req, obs::AttributionEngine *attrib,
        obs::AttribBucket bucket, double cycles, sim::Tick now)
 {
     switch (obs::fieldOf(bucket)) {
@@ -114,7 +112,7 @@ charge(XlatRequest &req, obs::AttribSink *attrib,
  * watchdog's per-hop balance check.
  */
 inline void
-chargeHop(XlatRequest &req, obs::AttribSink *attrib,
+chargeHop(XlatRequest &req, obs::AttributionEngine *attrib,
           obs::AttribBucket bucket, const obs::AttribHop &hop,
           sim::Tick now)
 {

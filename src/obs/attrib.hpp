@@ -183,51 +183,6 @@ struct AttribEvent
 };
 
 /**
- * Where components deliver attribution lifecycle reports. Two
- * implementations: the AttributionEngine itself (host-lane components
- * and the serial kernel write straight through), and AttribRelay (GPU
- * lanes buffer their reports and the window barrier replays them into
- * the engine in deterministic lane order). The interface is exactly
- * the engine's lifecycle surface, so a component neither knows nor
- * cares which side of a lane boundary it runs on.
- */
-class AttribSink
-{
-  public:
-    virtual ~AttribSink() = default;
-
-    virtual void begin(int gpu, std::uint64_t id, std::uint64_t vpn,
-                       sim::Tick now) = 0;
-    virtual void charge(int gpu, std::uint64_t id, AttribBucket bucket,
-                        double cycles, sim::Tick now) = 0;
-    /**
-     * One traversed edge of a routed message carrying this request.
-     * When @p counted is true this *is* the charge — the hop's total
-     * lands in @p bucket exactly like charge(), and additionally
-     * accumulates into the record's per-hop sum so the watchdog can
-     * prove sum-of-edges == bucket. When false the hop is
-     * timeline-only (e.g. migration payload hops, which stay charged
-     * as one Migration lump).
-     */
-    virtual void hop(int gpu, std::uint64_t id, AttribBucket bucket,
-                     const AttribHop &h, bool counted, sim::Tick now) = 0;
-    virtual void shortCircuited(int gpu, std::uint64_t id,
-                                double est_saved, sim::Tick now) = 0;
-    virtual void forwardLaunched(int gpu, std::uint64_t id,
-                                 sim::Tick now) = 0;
-    virtual void forwardOutcome(int gpu, std::uint64_t id, bool success,
-                                bool won, double est_saved,
-                                sim::Tick now) = 0;
-    virtual void hostWalkDone(int gpu, std::uint64_t id, bool duplicate,
-                              sim::Tick now) = 0;
-    virtual void hostWalkCancelled(int gpu, std::uint64_t id,
-                                   double est_walk, sim::Tick now) = 0;
-    virtual void finish(int gpu, std::uint64_t id,
-                        const stats::LatencyBreakdown &lat,
-                        bool short_circuit, sim::Tick now) = 0;
-};
-
-/**
  * Per-request latency-attribution engine. Components report every
  * LatencyBreakdown charge through mmu::charge(), which updates the
  * request's breakdown and this engine's per-request record in one
@@ -238,7 +193,7 @@ class AttribSink
  * request state, so simulated timing is identical with it on or off.
  * Compiled out entirely under TRANSFW_OBS=0, like SpanRecorder.
  */
-class AttributionEngine : public AttribSink
+class AttributionEngine
 {
   public:
     bool enabled() const { return enabled_; }
@@ -254,32 +209,41 @@ class AttributionEngine : public AttribSink
 
     // --- lifecycle (called from the components) ---------------------------
     void begin(int gpu, std::uint64_t id, std::uint64_t vpn,
-               sim::Tick now) override;
+               sim::Tick now);
     void charge(int gpu, std::uint64_t id, AttribBucket bucket,
-                double cycles, sim::Tick now) override;
+                double cycles, sim::Tick now);
+    /**
+     * One traversed edge of a routed message carrying this request.
+     * When @p counted is true this *is* the charge — the hop's total
+     * lands in @p bucket exactly like charge(), and additionally
+     * accumulates into the record's per-hop sum so the watchdog can
+     * prove sum-of-edges == bucket. When false the hop is
+     * timeline-only (e.g. migration payload hops, which stay charged
+     * as one Migration lump).
+     */
     void hop(int gpu, std::uint64_t id, AttribBucket bucket,
-             const AttribHop &h, bool counted, sim::Tick now) override;
+             const AttribHop &h, bool counted, sim::Tick now);
     void shortCircuited(int gpu, std::uint64_t id, double est_saved,
-                        sim::Tick now) override;
+                        sim::Tick now);
     void forwardLaunched(int gpu, std::uint64_t id,
-                         sim::Tick now) override;
+                         sim::Tick now);
     /** Remote reply arrived. @p won: it beat the host walk. @p est_saved
      *  is the avoided-walk estimate for paths with no measurable loser
      *  (driver forwards); 0 on the hardware path. */
     void forwardOutcome(int gpu, std::uint64_t id, bool success,
                         bool won, double est_saved,
-                        sim::Tick now) override;
+                        sim::Tick now);
     /** Host walk completed. @p duplicate: the remote reply had already
      *  resolved the request (this walk was the race loser). */
     void hostWalkDone(int gpu, std::uint64_t id, bool duplicate,
-                      sim::Tick now) override;
+                      sim::Tick now);
     /** The losing host walk was pulled from the PW-queue before it
      *  started; @p est_walk estimates the walk it avoided. */
     void hostWalkCancelled(int gpu, std::uint64_t id, double est_walk,
-                           sim::Tick now) override;
+                           sim::Tick now);
     void finish(int gpu, std::uint64_t id,
                 const stats::LatencyBreakdown &lat, bool short_circuit,
-                sim::Tick now) override;
+                sim::Tick now);
 
     /** Count still-open races; call once after the event queue drains. */
     void finalize();
@@ -348,179 +312,6 @@ class AttributionEngine : public AttribSink
     double slowestWall_ = -1.0;
     int slowestGpu_ = -1;
     std::uint64_t slowestId_ = 0;
-};
-
-/**
- * Lane-local attribution buffer. GPU lanes execute concurrently, so
- * they cannot write into the shared AttributionEngine; instead each
- * lane's components report into its relay, and the window barrier
- * replays every relay into the engine in lane-index order (while all
- * lanes are quiescent). Replay order is deterministic — a fixed
- * traversal of per-lane FIFOs — so the engine's floating-point sums
- * and reply-race ledger come out byte-identical on every lane count.
- *
- * Same-request causality holds without sorting: a request's lifecycle
- * alternates between its GPU lane and the host lane only via link
- * messages at least one lookahead window apart, so two ops on the
- * same request never land in the same window on different lanes.
- */
-class AttribRelay : public AttribSink
-{
-  public:
-    void begin(int gpu, std::uint64_t id, std::uint64_t vpn,
-               sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::Begin, gpu, id, now);
-        op.a = vpn;
-    }
-
-    void charge(int gpu, std::uint64_t id, AttribBucket bucket,
-                double cycles, sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::Charge, gpu, id, now);
-        op.bucket = bucket;
-        op.cycles = cycles;
-    }
-
-    void hop(int gpu, std::uint64_t id, AttribBucket bucket,
-             const AttribHop &h, bool counted, sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::Hop, gpu, id, now);
-        op.bucket = bucket;
-        op.hop = h;
-        op.flag1 = counted;
-    }
-
-    void shortCircuited(int gpu, std::uint64_t id, double est_saved,
-                        sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::ShortCircuit, gpu, id, now);
-        op.cycles = est_saved;
-    }
-
-    void forwardLaunched(int gpu, std::uint64_t id,
-                         sim::Tick now) override
-    {
-        push(Op::Kind::ForwardLaunched, gpu, id, now);
-    }
-
-    void forwardOutcome(int gpu, std::uint64_t id, bool success,
-                        bool won, double est_saved,
-                        sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::ForwardOutcome, gpu, id, now);
-        op.flag1 = success;
-        op.flag2 = won;
-        op.cycles = est_saved;
-    }
-
-    void hostWalkDone(int gpu, std::uint64_t id, bool duplicate,
-                      sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::HostWalkDone, gpu, id, now);
-        op.flag1 = duplicate;
-    }
-
-    void hostWalkCancelled(int gpu, std::uint64_t id, double est_walk,
-                           sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::HostWalkCancelled, gpu, id, now);
-        op.cycles = est_walk;
-    }
-
-    void finish(int gpu, std::uint64_t id,
-                const stats::LatencyBreakdown &lat, bool short_circuit,
-                sim::Tick now) override
-    {
-        Op &op = push(Op::Kind::Finish, gpu, id, now);
-        op.lat = lat;
-        op.flag1 = short_circuit;
-    }
-
-    /** Replay the buffered ops into @p sink in FIFO order and clear. */
-    void
-    drainTo(AttribSink &sink)
-    {
-        for (const Op &op : ops_) {
-            switch (op.kind) {
-              case Op::Kind::Begin:
-                sink.begin(op.gpu, op.id, op.a, op.now);
-                break;
-              case Op::Kind::Charge:
-                sink.charge(op.gpu, op.id, op.bucket, op.cycles, op.now);
-                break;
-              case Op::Kind::Hop:
-                sink.hop(op.gpu, op.id, op.bucket, op.hop, op.flag1,
-                         op.now);
-                break;
-              case Op::Kind::ShortCircuit:
-                sink.shortCircuited(op.gpu, op.id, op.cycles, op.now);
-                break;
-              case Op::Kind::ForwardLaunched:
-                sink.forwardLaunched(op.gpu, op.id, op.now);
-                break;
-              case Op::Kind::ForwardOutcome:
-                sink.forwardOutcome(op.gpu, op.id, op.flag1, op.flag2,
-                                    op.cycles, op.now);
-                break;
-              case Op::Kind::HostWalkDone:
-                sink.hostWalkDone(op.gpu, op.id, op.flag1, op.now);
-                break;
-              case Op::Kind::HostWalkCancelled:
-                sink.hostWalkCancelled(op.gpu, op.id, op.cycles, op.now);
-                break;
-              case Op::Kind::Finish:
-                sink.finish(op.gpu, op.id, op.lat, op.flag1, op.now);
-                break;
-            }
-        }
-        ops_.clear();
-    }
-
-    bool empty() const { return ops_.empty(); }
-
-  private:
-    struct Op
-    {
-        enum class Kind : std::uint8_t
-        {
-            Begin,
-            Charge,
-            Hop,
-            ShortCircuit,
-            ForwardLaunched,
-            ForwardOutcome,
-            HostWalkDone,
-            HostWalkCancelled,
-            Finish,
-        };
-
-        Kind kind = Kind::Charge;
-        AttribBucket bucket = AttribBucket::Other;
-        bool flag1 = false;
-        bool flag2 = false;
-        int gpu = 0;
-        std::uint64_t id = 0;
-        std::uint64_t a = 0; ///< vpn for Begin
-        double cycles = 0;
-        sim::Tick now = 0;
-        AttribHop hop;               ///< Hop only
-        stats::LatencyBreakdown lat; ///< Finish only
-    };
-
-    Op &
-    push(typename Op::Kind kind, int gpu, std::uint64_t id,
-         sim::Tick now)
-    {
-        Op &op = ops_.emplace_back();
-        op.kind = kind;
-        op.gpu = gpu;
-        op.id = id;
-        op.now = now;
-        return op;
-    }
-
-    std::vector<Op> ops_;
 };
 
 } // namespace transfw::obs

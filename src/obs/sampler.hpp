@@ -49,11 +49,11 @@ class IntervalSampler
 
     /**
      * Append one row stamped @p tick by probing every column now. The
-     * windowed lane kernel drives sampling this way — rows are recorded
-     * at window barriers, while every lane is quiescent — instead of
-     * riding weak events on a single queue (start()); the row schedule
-     * then depends only on the deterministic window sequence, never on
-     * the number of worker threads.
+     * multi-queue system drives sampling this way instead of riding
+     * weak events on one queue (start()): its event loop records the
+     * row for tick S after every event at or before S has run, on any
+     * queue, and before any later event, so each row shows the machine
+     * exactly at its tick.
      */
     void recordRow(sim::Tick tick);
 

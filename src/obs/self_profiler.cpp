@@ -16,7 +16,6 @@ profBucketName(ProfBucket bucket)
       case ProfBucket::Interconnect: return "interconnect";
       case ProfBucket::Migration: return "migration";
       case ProfBucket::Stats: return "stats";
-      case ProfBucket::LaneSync: return "laneSync";
     }
     return "?";
 }
@@ -29,7 +28,6 @@ SelfProfiler::configure(bool enabled, std::uint32_t stride)
     enabled_ = enabled;
     stride_ = stride ? stride : 1;
     countdown_ = stride_;
-    syncCountdown_ = stride_;
     probeTime_ = Clock::now();
     probeDispatches_ = dispatches_;
     probed_ = true;
@@ -87,24 +85,6 @@ SelfProfiler::exit()
     charge(stack_[--depth_], Clock::now());
 }
 
-bool
-SelfProfiler::syncSampleDue()
-{
-    if (!enabled_)
-        return false;
-    if (--syncCountdown_ != 0)
-        return false;
-    syncCountdown_ = stride_;
-    return true;
-}
-
-void
-SelfProfiler::chargeSync(std::uint64_t ns)
-{
-    ns_[static_cast<std::size_t>(ProfBucket::LaneSync)] += ns;
-    totalNs_ += ns;
-}
-
 HostProfile
 SelfProfiler::snapshot() const
 {
@@ -151,7 +131,6 @@ SelfProfiler::reset()
     dispatches_ = 0;
     sampledDispatches_ = 0;
     countdown_ = stride_;
-    syncCountdown_ = stride_;
     for (std::uint64_t &v : ns_)
         v = 0;
     totalNs_ = 0;

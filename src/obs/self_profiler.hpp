@@ -26,9 +26,8 @@ enum class ProfBucket : std::uint8_t
     Interconnect, ///< link delivery callbacks and reply fan-out
     Migration,    ///< page migration/replication engine
     Stats,        ///< interval sampler and metric probes
-    LaneSync,     ///< lane-kernel barrier wait + mailbox/relay drains
 };
-inline constexpr std::size_t kNumProfBuckets = 11;
+inline constexpr std::size_t kNumProfBuckets = 10;
 
 const char *profBucketName(ProfBucket bucket);
 
@@ -63,10 +62,11 @@ struct HostProfile
 /**
  * Wall-clock self-profiler for the simulator itself: attributes host
  * time spent inside event dispatch to component buckets, the ground
- * truth any event-kernel parallelisation will be judged against.
+ * truth any event-kernel change will be judged against.
  *
- * Attached to the EventQueue as its DispatchHook, it samples one
- * dispatch in `stride` (default cfg::ObsConfig::profileStride): a
+ * Attached to every EventQueue of a run as its DispatchHook, it
+ * samples one dispatch in `stride` (default
+ * cfg::ObsConfig::profileStride): a
  * sampled dispatch opens a Kernel-bucket frame, and obs::ProfScope
  * RAII timers inside component code carve *self time* out of whatever
  * frame is open — nested scopes never double-count, and the interval
@@ -97,25 +97,6 @@ class SelfProfiler final : public sim::EventQueue::DispatchHook
     void enter(ProfBucket bucket);
     void exit();
 
-    // --- lane-kernel synchronization sampling ------------------------------
-    /**
-     * Countdown gate for sampling one window barrier in `stride`:
-     * true once every stride_ calls while the profiler is enabled.
-     * Window barriers happen *between* event dispatches, so their cost
-     * is invisible to the dispatch hook; the lane kernel asks here
-     * whether to time the next barrier and reports it via
-     * chargeSync(). The same 1-in-stride discipline as dispatch
-     * sampling keeps the snapshot scaling uniform.
-     */
-    bool syncSampleDue();
-
-    /**
-     * Charge @p ns of measured barrier/mailbox time to the LaneSync
-     * bucket. Adds to the bucket and the total alike, so
-     * bucketSum() == totalSeconds survives by construction.
-     */
-    void chargeSync(std::uint64_t ns);
-
     /** Scaled bucket/total estimate of where host time went. */
     HostProfile snapshot() const;
 
@@ -145,7 +126,6 @@ class SelfProfiler final : public sim::EventQueue::DispatchHook
     bool enabled_ = false;
     std::uint32_t stride_ = 16;
     std::uint32_t countdown_ = 16; ///< dispatches until the next sample
-    std::uint32_t syncCountdown_ = 16; ///< barriers until the next sample
     std::uint64_t dispatches_ = 0;
     std::uint64_t sampledDispatches_ = 0;
     std::uint64_t ns_[kNumProfBuckets] = {};
@@ -199,8 +179,6 @@ class SelfProfiler
     bool sampling() const { return false; }
     void enter(ProfBucket) {}
     void exit() {}
-    bool syncSampleDue() { return false; }
-    void chargeSync(std::uint64_t) {}
     HostProfile snapshot() const { return {}; }
     double recentEventsPerSec() { return 0.0; }
     void reset() {}

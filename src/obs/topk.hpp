@@ -27,7 +27,7 @@ namespace transfw::obs {
  *
  * Purely observational and deterministic (no hashing, no randomness):
  * fed from the simulated event stream, it produces identical tables on
- * every run and lane count.
+ * every run.
  */
 class TopK
 {

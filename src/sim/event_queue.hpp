@@ -136,8 +136,8 @@ class EventQueue
 
     /**
      * Earliest pending tick (strong or weak); kMaxTick when nothing is
-     * queued. The lane scheduler uses this to skip empty lookahead
-     * windows.
+     * queued. The multi-queue event loop uses this to pick the next
+     * queue to run.
      */
     Tick nextTick() const { return nextEventTick(); }
 
@@ -145,7 +145,7 @@ class EventQueue
      * Execute every event with tick < @p end, in exact (tick, seq)
      * order, and stop. Unlike run(), the weak remainder is never
      * discarded and now() stays at the last executed tick — the queue
-     * remains open for the next lookahead window. Events a callback
+     * stays open while other queues catch up. Events a callback
      * schedules inside [now, end) still execute within this call.
      * @return the number of events executed.
      */
@@ -153,8 +153,8 @@ class EventQueue
 
     /**
      * Destroy everything still queued (the trailing weak events of a
-     * finished lane). The windowed kernel calls this once per lane
-     * after global termination, mirroring run()'s final discard.
+     * finished queue). The multi-queue event loop calls this once per
+     * queue after global termination, mirroring run()'s final discard.
      */
     void discardPending() { discardAll(); }
 

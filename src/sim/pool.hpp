@@ -1,7 +1,6 @@
 #ifndef TRANSFW_SIM_POOL_HPP
 #define TRANSFW_SIM_POOL_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -17,55 +16,6 @@ template <typename Derived>
 class Pooled;
 
 /**
- * True on a thread only while it executes lane work inside a
- * LaneExecutor parallel phase — the one regime in which pooled objects
- * this thread touches can be shared with another thread. Every
- * refcount/occupancy update branches on this flag: when clear (serial
- * kernel, host stretches between phases, sweep workers on disjoint
- * simulations) the counters use plain loads and stores, so the common
- * path pays no lock-prefixed instructions.
- *
- * The flag is thread_local on purpose. A process-global flag would
- * put one heavily-read byte on a line every pool op in every thread
- * touches, and — worse — would switch *unrelated* threads (sweep
- * workers running disjoint serial simulations) to atomic counters
- * whenever any one simulation runs a parallel phase. Thread-locality
- * makes the mode a property of the only threads that can actually
- * share objects: the phase caller and its helpers, all of which pass
- * through the executor's mutex at phase entry/exit, which orders the
- * mode transitions against the counter traffic on either side.
- */
-inline thread_local bool poolsShared = false;
-
-namespace poolops {
-
-template <typename U>
-inline U
-inc(std::atomic<U> &c)
-{
-    if (poolsShared)
-        return c.fetch_add(1, std::memory_order_relaxed);
-    U v = c.load(std::memory_order_relaxed);
-    c.store(v + 1, std::memory_order_relaxed);
-    return v;
-}
-
-template <typename U>
-inline U
-dec(std::atomic<U> &c)
-{
-    if (poolsShared)
-        // acq_rel: a final cross-thread decrement must observe every
-        // other thread's writes to the object before teardown runs.
-        return c.fetch_sub(1, std::memory_order_acq_rel);
-    U v = c.load(std::memory_order_relaxed);
-    c.store(v - 1, std::memory_order_relaxed);
-    return v;
-}
-
-} // namespace poolops
-
-/**
  * Slab allocator for fixed-type simulation objects (translation
  * requests, remote lookups). Objects are placement-constructed in
  * slab-backed slots and recycled through an intrusive freelist, so the
@@ -74,15 +24,10 @@ dec(std::atomic<U> &c)
  * the system allocator.
  *
  * Threading contract: each thread gets its own pool via local(), and
- * acquire() is only ever called by the owning thread. Releases,
- * however, may come from any thread: the parallel lane kernel hands
- * pooled requests across lanes (forwarded lookups, replies), so the
- * last reference can drop on a thread other than the allocator's.
- * An object released off-thread is destroyed by the releasing thread
- * and its slot is pushed onto a lock-free remote stack that the owner
- * folds back into its freelist (push-only remote, pop-all owner — no
- * ABA window). Everything else — slabs, the local freelist — remains
- * owner-private and unsynchronized.
+ * every object is acquired and released on the thread that owns its
+ * pool. A simulation runs start to finish on one thread (SweepRunner
+ * runs whole simulations in parallel, never parts of one), so nothing
+ * here is synchronized.
  */
 template <typename T>
 class ObjectPool
@@ -96,26 +41,21 @@ class ObjectPool
 
     ~ObjectPool()
     {
-        drainRemote();
         // Slabs go away with the pool; anything still live would
         // dangle. The simulator tears every system down before its
         // thread exits, so this indicates a leaked reference.
-        std::size_t live = live_.load(std::memory_order_relaxed);
-        if (live != 0)
+        if (live_ != 0)
             warn(strfmt("ObjectPool destroyed with %zu live objects",
-                        live));
+                        live_));
     }
 
-    /** Construct a T in a recycled (or fresh) slot (owner thread only). */
+    /** Construct a T in a recycled (or fresh) slot. */
     template <typename... Args>
     T *
     acquire(Args &&...args)
     {
-        if (!free_) {
-            drainRemote();
-            if (!free_)
-                grow();
-        }
+        if (!free_)
+            grow();
         Slot *slot = free_;
         free_ = slot->next;
         T *obj;
@@ -128,45 +68,22 @@ class ObjectPool
             throw;
         }
         static_cast<Pooled<T> &>(*obj).homePool_ = this;
-        poolops::inc(live_);
+        ++live_;
         return obj;
     }
 
-    /**
-     * Destroy @p obj and return its slot. Callable from any thread:
-     * the owner recycles the slot directly; other threads destroy the
-     * object in place (nested PoolRefs unref through their own home
-     * pools) and park the slot on the remote stack.
-     */
+    /** Destroy @p obj and return its slot to the freelist. */
     void
     release(T *obj) noexcept
     {
         obj->~T();
         Slot *slot = reinterpret_cast<Slot *>(obj);
-        poolops::dec(live_);
-        // Outside a parallel phase this thread cannot be racing the
-        // pool's owner (any thread that could share this object is
-        // either this one or parked behind the executor barrier), so
-        // even a foreign pool's freelist is safe to push directly —
-        // and the thread_local lookup is skipped entirely.
-        if (!poolsShared || this == &local()) {
-            slot->next = free_;
-            free_ = slot;
-            return;
-        }
-        Slot *head = remoteFree_.load(std::memory_order_relaxed);
-        do {
-            slot->next = head;
-        } while (!remoteFree_.compare_exchange_weak(
-            head, slot, std::memory_order_release,
-            std::memory_order_relaxed));
+        --live_;
+        slot->next = free_;
+        free_ = slot;
     }
 
-    std::size_t
-    liveObjects() const
-    {
-        return live_.load(std::memory_order_relaxed);
-    }
+    std::size_t liveObjects() const { return live_; }
     std::size_t capacity() const { return slabs_.size() * kSlabObjects; }
 
     /** This thread's pool for T. */
@@ -184,20 +101,6 @@ class ObjectPool
         alignas(T) unsigned char storage[sizeof(T)];
     };
 
-    /** Fold remotely released slots back into the freelist (owner). */
-    void
-    drainRemote()
-    {
-        Slot *head = remoteFree_.exchange(nullptr,
-                                          std::memory_order_acquire);
-        while (head) {
-            Slot *next = head->next;
-            head->next = free_;
-            free_ = head;
-            head = next;
-        }
-    }
-
     void
     grow()
     {
@@ -210,9 +113,8 @@ class ObjectPool
     }
 
     Slot *free_ = nullptr;
-    std::atomic<Slot *> remoteFree_{nullptr};
     std::vector<std::unique_ptr<Slot[]>> slabs_;
-    std::atomic<std::size_t> live_{0};
+    std::size_t live_ = 0;
 };
 
 template <typename T>
@@ -220,10 +122,9 @@ class PoolRef;
 
 /**
  * CRTP base giving @p Derived an intrusive reference count so PoolRef
- * can manage it without a separate shared_ptr control block. The count
- * is atomic and the object remembers its home pool, so references may
- * be copied and dropped on any thread; the release path routes the
- * slot back to the pool that allocated it.
+ * can manage it without a separate shared_ptr control block. The
+ * object remembers its home pool, so the release path routes the slot
+ * back to the pool that allocated it.
  */
 template <typename Derived>
 class Pooled
@@ -235,14 +136,14 @@ class Pooled
   private:
     friend class PoolRef<Derived>;
     friend class ObjectPool<Derived>;
-    std::atomic<std::uint32_t> poolRefs_{0};
+    std::uint32_t poolRefs_ = 0;
     void *homePool_ = nullptr;
 };
 
 /**
  * shared_ptr-shaped handle to a pool-allocated object. Copies bump the
  * intrusive count; the last reference returns the object to the pool
- * that allocated it, from whichever thread it drops on.
+ * that allocated it.
  */
 template <typename T>
 class PoolRef
@@ -254,7 +155,7 @@ class PoolRef
     PoolRef(const PoolRef &other) noexcept : p_(other.p_)
     {
         if (p_)
-            poolops::inc(base()->poolRefs_);
+            ++base()->poolRefs_;
     }
 
     PoolRef(PoolRef &&other) noexcept : p_(other.p_) { other.p_ = nullptr; }
@@ -291,7 +192,7 @@ class PoolRef
     std::uint32_t
     useCount() const noexcept
     {
-        return p_ ? base()->poolRefs_.load(std::memory_order_relaxed) : 0;
+        return p_ ? base()->poolRefs_ : 0;
     }
 
     friend bool
@@ -322,7 +223,7 @@ class PoolRef
         PoolRef ref;
         ref.p_ = obj;
         if (obj)
-            poolops::inc(ref.base()->poolRefs_);
+            ++ref.base()->poolRefs_;
         return ref;
     }
 
@@ -332,7 +233,7 @@ class PoolRef
     void
     unref() noexcept
     {
-        if (p_ && poolops::dec(base()->poolRefs_) == 1)
+        if (p_ && --base()->poolRefs_ == 0)
             static_cast<ObjectPool<T> *>(base()->homePool_)->release(p_);
         p_ = nullptr;
     }

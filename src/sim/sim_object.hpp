@@ -30,9 +30,9 @@ class SimObject
     Tick curTick() const { return eq_->now(); }
 
     /**
-     * Re-home this object onto another event queue. The parallel lane
-     * kernel uses this to hand each interconnect link to the lane that
-     * drives it (links are constructed before the lane split is known);
+     * Re-home this object onto another event queue. The system uses
+     * this to hand each interconnect link to the queue that drives it
+     * (links are constructed before the per-GPU queues are wired);
      * only call while no event scheduled by this object is pending.
      */
     void rebindEventQueue(EventQueue &eq) { eq_ = &eq; }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 
-#include "sim/lane_executor.hpp"
 #include "sim/logging.hpp"
 #include "sim/trace.hpp"
 
@@ -16,8 +15,8 @@ namespace {
  * Decompose a measured host-star control traversal (total = deliver
  * tick - send tick) into the edge-tagged hop chargeHop() wants: the
  * ctrl channel's fixed 2-cycle token, the link's propagation latency,
- * and whatever is left as wait (mailbox/window slack — 0 on the direct
- * paths). Node -1 is the host side of the star.
+ * and whatever is left as wait (0 on the direct paths). Node -1 is the
+ * host side of the star.
  */
 obs::AttribHop
 starHop(int from, int to, sim::Tick latency, double total)
@@ -44,26 +43,6 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
 {
     cfg_.validate();
 
-    // Per-lane conservative lookahead: the only cross-lane channel a
-    // GPU lane *originates* traffic on is its own uplink (far faults,
-    // remote-done notifications, access-counter mail) — peer links and
-    // downlinks are driven by the host lane, which runs one tick at a
-    // time and never inside a GPU window. So lane g's window is its
-    // uplink's control-message lower bound: 2 ticks of serialization
-    // token plus propagation. A message posted at tick t >= next_g
-    // arrives at t + laneWindows_[g] >= the window bound, i.e. beyond
-    // every tick any lane executes this window — which is what keeps
-    // the interleave exact. Notably the peer-link latency does NOT
-    // clamp the window (it did in the first lane kernel), so cheap
-    // NVLink-class peers no longer shrink every window to their
-    // latency.
-    laneWindows_.resize(static_cast<std::size_t>(cfg_.numGpus));
-    for (int g = 0; g < cfg_.numGpus; ++g)
-        laneWindows_[static_cast<std::size_t>(g)] =
-            2 + net_.toHost(g).latency();
-    window_ = *std::min_element(laneWindows_.begin(),
-                                laneWindows_.end());
-
     if (cfg_.transFw.enabled)
         ft_ = std::make_unique<core::FtCluster>(cfg_.transFw,
                                                 cfg_.hostShards);
@@ -73,13 +52,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
         gpuRngs_.push_back(std::make_unique<sim::Rng>(
             cfg_.seed * 0x9E3779B97F4A7C15ULL +
             2ULL * static_cast<std::uint64_t>(g) + 1));
-        laneProfilers_.push_back(std::make_unique<obs::SelfProfiler>());
     }
-    mail_.resize(static_cast<std::size_t>(cfg_.numGpus));
-    relays_.resize(static_cast<std::size_t>(cfg_.numGpus));
-    sharingShards_.resize(static_cast<std::size_t>(cfg_.numGpus));
-    farFaultShards_.assign(static_cast<std::size_t>(cfg_.numGpus),
-                           LaneCounter{});
 
     for (int g = 0; g < cfg_.numGpus; ++g)
         gpus_.push_back(std::make_unique<gpu::Gpu>(
@@ -101,8 +74,9 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             if (req->resolvedByRemote) {
                 // The owner GPU replied to the requester directly along
                 // with the pushed page (Fig. 10, path I); no extra
-                // host -> GPU reply hop. Hand the completion to lane g
-                // at the current tick — its window has not run yet.
+                // host -> GPU reply hop. Hand the completion to GPU g
+                // at the current tick; it runs after every host event
+                // of this tick.
                 gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
                     hostEq_.now(), [this, req]() {
                         gpus_[static_cast<std::size_t>(req->gpu)]
@@ -112,12 +86,12 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             }
             sim::Tick t0 = hostEq_.now();
             net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
-                // Delivered on GPU lane g.
+                // Delivered on GPU g's queue.
                 sim::Tick now =
                     gpuQs_[static_cast<std::size_t>(g)]->now();
-                obs::ProfScope prof(laneProfiler(g),
+                obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
-                mmu::chargeHop(*req, laneAttrib(g),
+                mmu::chargeHop(*req, attribEngine(),
                                obs::AttribBucket::Network,
                                starHop(-1, g,
                                        net_.fromHost(g).latency(),
@@ -132,13 +106,13 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             int target = rl->targetGpu;
             net_.fromHost(target).sendCtrl(
                 kCtrlMsgBytes, [this, rl, t0, target]() {
-                    // Delivered on GPU lane `target`.
+                    // Delivered on GPU `target`'s queue.
                     sim::Tick now =
                         gpuQs_[static_cast<std::size_t>(target)]->now();
-                    obs::ProfScope prof(laneProfiler(target),
+                    obs::ProfScope prof(profiler(),
                                         obs::ProfBucket::Interconnect);
                     mmu::chargeHop(
-                        *rl->req, laneAttrib(target),
+                        *rl->req, attribEngine(),
                         obs::AttribBucket::Network,
                         starHop(-1, target,
                                 net_.fromHost(target).latency(),
@@ -166,9 +140,9 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
                 sim::Tick now =
                     gpuQs_[static_cast<std::size_t>(g)]->now();
-                obs::ProfScope prof(laneProfiler(g),
+                obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
-                mmu::chargeHop(*req, laneAttrib(g),
+                mmu::chargeHop(*req, attribEngine(),
                                obs::AttribBucket::Network,
                                starHop(-1, g,
                                        net_.fromHost(g).latency(),
@@ -182,7 +156,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             int target = rl->targetGpu;
             net_.fromHost(target).sendCtrl(kCtrlMsgBytes, [this, rl,
                                                        target]() {
-                obs::ProfScope prof(laneProfiler(target),
+                obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
                 gpus_[static_cast<std::size_t>(target)]
                     ->remoteLookupRequest(rl);
@@ -192,7 +166,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
 
     for (int g = 0; g < cfg_.numGpus; ++g)
         wireGpu(g);
-    wireLanes();
+    wireQueues();
 
     placeInitialPages();
 
@@ -210,26 +184,20 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
 }
 
 void
-MultiGpuSystem::wireLanes()
+MultiGpuSystem::wireQueues()
 {
-    // Each link belongs to the one lane that calls its send methods:
-    // uplinks to their GPU's lane, downlinks and peer links to the
-    // host lane (replies, forwards, migration traffic).
-    std::vector<sim::EventQueue *> lanes;
+    // Each link runs on the clock of the queue that calls its send
+    // methods: uplinks on their GPU's queue, downlinks and peer links
+    // on the host queue (replies, forwards, migration traffic).
+    std::vector<sim::EventQueue *> queues;
     for (auto &q : gpuQs_)
-        lanes.push_back(q.get());
-    net_.bindLaneQueues(lanes, hostEq_);
+        queues.push_back(q.get());
+    net_.bindQueues(queues, hostEq_);
 
+    // Control messages are delivered on the receiver's queue: GPU ->
+    // host on the host queue, host -> GPU on that GPU's queue.
     for (int g = 0; g < cfg_.numGpus; ++g) {
-        // GPU -> host control traffic crosses a lane boundary into a
-        // queue another thread may be executing; batch it in this
-        // lane's mailbox (an InlineVec append, no type-erased Deliver
-        // hop) and flush once at the next window barrier.
-        net_.toHost(g).setCtrlMailbox(&mail_[static_cast<std::size_t>(g)]);
-        // Host -> GPU control traffic is sent while the host phase runs
-        // alone and always arrives beyond every tick the receiving
-        // (parked) lane has executed, so it lands directly in that
-        // lane's queue.
+        net_.toHost(g).setCtrlTarget(&hostEq_);
         net_.fromHost(g).setCtrlTarget(
             gpuQs_[static_cast<std::size_t>(g)].get());
     }
@@ -248,11 +216,8 @@ MultiGpuSystem::setupObservability()
     for (int g = 0; g < cfg_.numGpus; ++g) {
         gpu::Gpu &gpu = *gpus_[static_cast<std::size_t>(g)];
         gpu.attachSpans(&obs_->spans);
-        // GPU-lane components report attribution into their lane's
-        // relay and host time into their lane's profiler; the barrier
-        // and collect() merge both deterministically.
-        gpu.attachAttribution(laneAttrib(g));
-        gpu.attachProfiler(laneProfiler(g));
+        gpu.attachAttribution(&obs_->attribution);
+        gpu.attachProfiler(&obs_->profiler);
         gpu.registerMetrics(reg, sim::strfmt("gpu%d", g));
     }
     if (hostMmu_) {
@@ -270,18 +235,13 @@ MultiGpuSystem::setupObservability()
     engine_->attachAttribution(&obs_->attribution);
     engine_->attachProfiler(&obs_->profiler);
     engine_->registerMetrics(reg, "host.migration");
-    for (std::size_t i = 0; i < cus_.size(); ++i) {
-        int g = static_cast<int>(i) / cfg_.cusPerGpu;
-        cus_[i]->attachProfiler(laneProfiler(g));
-    }
+    for (auto &cu : cus_)
+        cu->attachProfiler(&obs_->profiler);
     if (ft_)
         ft_->registerMetrics(reg, "host.ft");
     net_.registerMetrics(reg);
     reg.registerGauge("sim.farFaults", [this] {
-        std::uint64_t total = 0;
-        for (const LaneCounter &shard : farFaultShards_)
-            total += shard.value;
-        return static_cast<double>(total);
+        return static_cast<double>(farFaults_);
     });
     reg.registerGauge("sim.tick", [this] {
         sim::Tick t = hostEq_.now();
@@ -388,11 +348,8 @@ MultiGpuSystem::wireGpu(int g)
         sendFaultToHost(std::move(req));
     };
 
-    gpu.hooks.onPageAccess = [this, g](mem::Vpn vpn, int from,
-                                       bool write) {
-        // Runs on GPU lane g: update this lane's shard only.
-        PageSharing &ps =
-            sharingShards_[static_cast<std::size_t>(g)].map[vpn];
+    gpu.hooks.onPageAccess = [this](mem::Vpn vpn, int from, bool write) {
+        PageSharing &ps = sharing_[vpn];
         ps.gpuMask |= std::uint64_t{1} << from;
         if (write)
             ++ps.writes;
@@ -403,17 +360,15 @@ MultiGpuSystem::wireGpu(int g)
     gpu.hooks.remoteAccessLatency = [this, g](mem::Vpn vpn,
                                               const tlb::TlbEntry &entry,
                                               int from) -> sim::Tick {
-        // The access-counter bump mutates host-lane state (the
-        // migration engine); ship it through the mailbox with the
-        // same GPU -> host control latency every other uplink message
-        // pays (exactly laneWindows_[g], so it always lands beyond
-        // the window that posted it).
-        mail_[static_cast<std::size_t>(g)].post(
-            gpuQs_[static_cast<std::size_t>(g)]->now() +
-                laneWindows_[static_cast<std::size_t>(g)],
-            [this, vpn, from]() {
-                engine_->noteRemoteAccess(vpn, from);
-            });
+        // The access-counter bump updates host-side state (the
+        // migration engine), so it reaches the host queue with the
+        // latency of an uplink control message: the 2-cycle token
+        // plus propagation.
+        hostEq_.scheduleAt(gpuQs_[static_cast<std::size_t>(g)]->now() +
+                               2 + net_.toHost(g).latency(),
+                           [this, vpn, from]() {
+                               engine_->noteRemoteAccess(vpn, from);
+                           });
         sim::Tick hop = entry.owner == mem::kCpuDevice
                             ? cfg_.hostLink.latency
                             : net_.peerLatency(from, entry.owner);
@@ -442,7 +397,7 @@ MultiGpuSystem::wireGpu(int g)
         // resolution (see DESIGN.md, remote forwarding approximation).
         sim::Tick t0 = gpuQs_[static_cast<std::size_t>(g)]->now();
         net_.toHost(g).sendCtrl(kCtrlMsgBytes, [this, rl, t0, g]() {
-            // Delivered on the host lane after the mailbox drain.
+            // Delivered on the host queue.
             obs::ProfScope prof(profiler(),
                                 obs::ProfBucket::Interconnect);
             mmu::chargeHop(
@@ -462,11 +417,11 @@ void
 MultiGpuSystem::sendFaultToHost(mmu::XlatPtr req)
 {
     int g = req->gpu;
-    ++farFaultShards_[static_cast<std::size_t>(g)].value;
+    ++farFaults_;
     req->faulted = true;
     sim::Tick t0 = gpuQs_[static_cast<std::size_t>(g)]->now();
     net_.toHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0]() mutable {
-        // Delivered on the host lane after the mailbox drain.
+        // Delivered on the host queue.
         obs::ProfScope prof(profiler(),
                             obs::ProfBucket::Interconnect);
         mmu::chargeHop(
@@ -537,227 +492,84 @@ MultiGpuSystem::placeInitialPages()
     }
 }
 
-unsigned
-MultiGpuSystem::laneWorkers() const
-{
-    unsigned workers = 1;
-    if (cfg_.sim.lanes > 0)
-        workers = static_cast<unsigned>(
-            std::min(cfg_.sim.lanes, cfg_.numGpus));
-    // These features reach across lane boundaries from GPU lanes
-    // (sibling-L2 probes, the shared span recorder, the trace sink), so
-    // their windows must run on one thread — still in deterministic
-    // lane-index order, so the results do not change, only the speedup.
-    if (cfg_.leastTlb.enabled || cfg_.obs.spans ||
-        sim::trace::anyEnabled())
-        workers = 1;
-    return workers;
-}
-
-void
-MultiGpuSystem::drainMail()
-{
-    // Box-by-box in lane order: the host queue orders same-tick events
-    // by insertion sequence, so this realizes the canonical (arrival
-    // tick, source lane, post order) merge without an explicit sort.
-    // Skipping empty boxes changes nothing in that order and keeps a
-    // quiet lane's barrier cost at one branch.
-    for (sim::Mailbox &box : mail_) {
-        if (!box.empty())
-            box.drainTo(hostEq_);
-    }
-}
-
-std::vector<std::vector<int>>
-MultiGpuSystem::buildLaneGroups(unsigned workers) const
-{
-    // One static group per worker, built once per run: contiguous
-    // blocks of the interconnect's affinity order, balanced to within
-    // one GPU. Static assignment keeps each worker walking the same
-    // compact slice of per-GPU state every window (warm caches), and
-    // determinism is trivial — group contents depend only on the
-    // config, and lanes within a window are independent.
-    const std::vector<int> order = net_.laneAffinityOrder();
-    const std::size_t count = std::max<std::size_t>(
-        1, std::min<std::size_t>(workers, order.size()));
-    std::vector<std::vector<int>> groups(count);
-    for (std::size_t i = 0; i < order.size(); ++i)
-        groups[i * count / order.size()].push_back(order[i]);
-    return groups;
-}
-
 std::uint64_t
-MultiGpuSystem::runLanes()
+MultiGpuSystem::runQueues()
 {
-    const std::size_t n = static_cast<std::size_t>(cfg_.numGpus);
-    const unsigned workers = laneWorkers();
-    const std::vector<std::vector<int>> groups =
-        buildLaneGroups(workers);
+    // Queue 0 is the host, queue g + 1 is GPU g: ascending index is
+    // the same-tick order.
+    std::vector<sim::EventQueue *> queues{&hostEq_};
+    for (auto &q : gpuQs_)
+        queues.push_back(q.get());
+    const std::size_t n = queues.size();
 
-    // Per-lane hot scheduling state, one cache line per lane: during a
-    // window each worker reads and writes only its own lanes' entries,
-    // so the scheduler itself generates zero coherence traffic.
-    struct alignas(sim::kCacheLine) LaneState
-    {
-        sim::Tick next = sim::kMaxTick; ///< earliest runnable tick
-        std::size_t seen = 0;    ///< strongPending at the last refresh
-        std::uint64_t events = 0; ///< events executed on this lane
+    // A winner tree over the cached keys (next[q], q): internal node i
+    // holds the queue that wins its subtree, leaf q sits at node
+    // leaves + q, and node 1 is the overall winner. Padding leaves
+    // keep next = kMaxTick, so they never win over a real queue.
+    const std::size_t leaves = std::bit_ceil(n);
+    std::vector<sim::Tick> next(leaves, sim::kMaxTick);
+    std::vector<std::size_t> win(leaves, 0);
+    auto play = [&](std::size_t node) {
+        auto winner = [&](std::size_t child) {
+            return child >= leaves ? child - leaves : win[child];
+        };
+        std::size_t a = winner(2 * node), b = winner(2 * node + 1);
+        win[node] = next[b] < next[a] ? b : a;
     };
-    std::vector<LaneState> lanes(n);
 
-    std::uint64_t hostEvents = 0;
+    // A queue that did not run can only have gained events, and each
+    // one bumps its strong count: a moved count is the only other
+    // reason to recompute its next tick.
+    std::vector<std::size_t> seen(n, 0);
+    auto load = [&](std::size_t q) {
+        seen[q] = queues[q]->strongPending();
+        next[q] = seen[q] ? queues[q]->nextTick() : sim::kMaxTick;
+    };
+    auto refresh = [&](std::size_t q) {
+        load(q);
+        for (std::size_t node = (leaves + q) / 2; node; node /= 2)
+            play(node);
+    };
+    for (std::size_t q = 0; q < n; ++q)
+        load(q);
+    for (std::size_t node = leaves - 1; node; --node)
+        play(node);
 
     obs::IntervalSampler &sampler = obs_->sampler;
     const sim::Tick interval =
         sampler.columns() ? cfg_.obs.sampleInterval : 0;
     sim::Tick nextSample = interval;
 
-    // Adaptive alternating schedule. The host lane writes GPU state
-    // with zero modeled latency (page-table maps, TLB shootdowns, PRT
-    // arrivals), so exactness requires strict tick order between the
-    // host and every GPU lane: the host runs one tick at a time, and
-    // only while it is not ahead of any pending GPU event (host first
-    // on ties); GPU lanes run in parallel across host-free stretches,
-    // bounded by the host's next event and by the *adaptive* lookahead
-    // min_g(next_g + laneWindows_[g]) — any message lane g posts does
-    // so at a tick >= next_g and arrives laneWindows_[g] later, i.e.
-    // at or beyond that bound, so neither side ever executes a tick
-    // the other has passed. The schedule is a pure function of event
-    // ticks, independent of the worker count.
-    sim::LaneExecutor &exec = sim::LaneExecutor::instance();
-    obs::SelfProfiler *hostProf = profiler();
-
-    // A lane's entry is refreshed by its own worker after its window,
-    // and by the host loop when a host tick schedules onto the (then
-    // parked) lane — detected by the O(1) strong-event count moving.
-    auto refreshLane = [&](std::size_t g) {
-        LaneState &st = lanes[g];
-        st.seen = gpuQs_[g]->strongPending();
-        st.next = st.seen ? gpuQs_[g]->nextTick() : sim::kMaxTick;
-    };
-    for (std::size_t g = 0; g < n; ++g)
-        refreshLane(g);
-
-    // The per-window group job, hoisted so the loop below does not
-    // rebuild a std::function (and re-copy its captures) per window;
-    // `winEnd` carries the current window bound into it. Lanes with
-    // nothing runnable before the bound skip their queue entirely —
-    // a quiet lane costs one cache-line read per window.
-    sim::Tick winEnd = 0;
-    const std::function<void(std::size_t)> groupJob =
-        [&](std::size_t gi) {
-            for (int lane : groups[gi]) {
-                const std::size_t g = static_cast<std::size_t>(lane);
-                LaneState &st = lanes[g];
-                if (st.next >= winEnd)
-                    continue;
-                st.events += gpuQs_[g]->runWindow(winEnd);
-                st.seen = gpuQs_[g]->strongPending();
-                st.next =
-                    st.seen ? gpuQs_[g]->nextTick() : sim::kMaxTick;
-            }
-        };
-
+    std::uint64_t events = 0;
     for (;;) {
-        // Termination: no strong events anywhere and no cross-lane
-        // message pending (the mailboxes are flushed at each window
-        // barrier onto the host queue, where they count as strong
-        // events; between windows they stay empty).
-        const sim::Tick hostNext = hostEq_.strongPending()
-                                       ? hostEq_.nextTick()
-                                       : sim::kMaxTick;
-        // Fold the per-lane state: the earliest GPU event anywhere and
-        // the adaptive window bound. Staggered lanes stretch the
-        // bound — a lane parked far in the future contributes its own
-        // (large) next + window term instead of clamping everyone to
-        // the global minimum window.
-        sim::Tick gpuNext = sim::kMaxTick;
-        sim::Tick laneBound = sim::kMaxTick;
-        for (std::size_t g = 0; g < n; ++g) {
-            const sim::Tick next = lanes[g].next;
-            if (next == sim::kMaxTick)
-                continue;
-            gpuNext = std::min(gpuNext, next);
-            laneBound = std::min(laneBound, next + laneWindows_[g]);
-        }
-        if (hostNext == sim::kMaxTick && gpuNext == sim::kMaxTick)
+        const std::size_t q = win[1];
+        const sim::Tick t = next[q];
+        if (t == sim::kMaxTick)
             break;
 
-        // Interval rows ride the deterministic sample grid: a row for
-        // tick S is recorded once every event below S has executed.
-        if (interval) {
-            const sim::Tick next = std::min(hostNext, gpuNext);
-            for (; nextSample < next; nextSample += interval)
-                sampler.recordRow(nextSample);
-        }
+        // Interval rows ride the deterministic sample grid: the row
+        // for tick S is recorded once every event at or before S has
+        // executed and none after it.
+        for (; interval && nextSample < t; nextSample += interval)
+            sampler.recordRow(nextSample);
 
-        if (hostNext <= gpuNext) {
-            // Serial host stretch: exactly one tick, so a same-tick
-            // handoff to a GPU lane (remote-resolution replies) can
-            // never be overtaken by a later host write. Host events at
-            // this tick may touch any state — every GPU lane is parked
-            // at or before hostNext.
-            hostEvents += hostEq_.runWindow(hostNext + 1);
-            for (std::size_t g = 0; g < n; ++g)
-                if (gpuQs_[g]->strongPending() != lanes[g].seen)
-                    refreshLane(g);
-            continue;
-        }
-
-        // Parallel GPU window: the range below the bound is host-
-        // event-free and too short for any message posted inside it to
-        // demand delivery inside it, so each lane sees exactly the
-        // state a serial tick-ordered run would see.
-        winEnd = std::min(hostNext, laneBound);
-
-        // Sample this window's synchronization cost (barrier wait +
-        // drain bookkeeping) at the profiler's 1-in-stride discipline.
-        const bool sampleSync = hostProf && hostProf->syncSampleDue();
-        std::uint64_t syncNs = 0;
-
-        // Windows with at most one busy lane — the common shape in
-        // drain phases and small configs — run inline: same per-lane
-        // effects, no handoff or wakeup cost.
-        std::size_t busy = 0;
-        for (std::size_t g = 0; g < n && busy < 2; ++g)
-            if (lanes[g].next < winEnd)
-                ++busy;
-        if (workers <= 1 || busy <= 1) {
-            for (std::size_t gi = 0; gi < groups.size(); ++gi)
-                groupJob(gi);
-        } else {
-            exec.forEach(groups.size(), workers, groupJob,
-                         sampleSync ? &syncNs : nullptr);
-        }
-
-        // Barrier: replay each lane's attribution reports into the
-        // shared engine in lane-index order, fixing the floating-point
-        // summation order independently of the worker count, then
-        // flush the mailboxes the same way. Empty relays/boxes are
-        // skipped — that changes nothing in the replay/merge order.
-        std::chrono::steady_clock::time_point drain0;
-        if (sampleSync)
-            drain0 = std::chrono::steady_clock::now();
-        for (obs::AttribRelay &relay : relays_)
-            if (!relay.empty())
-                relay.drainTo(obs_->attribution);
-        drainMail();
-        if (sampleSync) {
-            syncNs += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - drain0)
-                    .count());
-            hostProf->chargeSync(syncNs);
+        events += queues[q]->runWindow(t + 1);
+        refresh(q);
+        if (q == 0) {
+            // A host tick may hand work to any GPU.
+            for (std::size_t g = 1; g < n; ++g)
+                if (queues[g]->strongPending() != seen[g])
+                    refresh(g);
+        } else if (hostEq_.strongPending() != seen[0]) {
+            // A GPU reaches other queues only through the host queue
+            // (uplink messages, access-counter bumps).
+            refresh(0);
         }
     }
 
-    std::uint64_t total = hostEvents;
-    hostEq_.discardPending();
-    for (std::size_t g = 0; g < n; ++g) {
-        total += lanes[g].events;
-        gpuQs_[g]->discardPending();
-    }
-    return total;
+    for (sim::EventQueue *queue : queues)
+        queue->discardPending();
+    return events;
 }
 
 SimResults
@@ -769,21 +581,18 @@ MultiGpuSystem::run()
 
     obs_->profiler.configure(cfg_.obs.selfProfile,
                              cfg_.obs.profileStride);
-    for (auto &prof : laneProfilers_)
-        prof->configure(cfg_.obs.selfProfile, cfg_.obs.profileStride);
 #if TRANSFW_OBS
     if (obs_->profiler.enabled()) {
         hostEq_.setDispatchHook(&obs_->profiler);
-        for (int g = 0; g < cfg_.numGpus; ++g)
-            gpuQs_[static_cast<std::size_t>(g)]->setDispatchHook(
-                laneProfiler(g));
+        for (auto &q : gpuQs_)
+            q->setDispatchHook(&obs_->profiler);
     }
 #endif
 
     for (auto &cu : cus_)
         cu->start();
     auto wall0 = std::chrono::steady_clock::now();
-    std::uint64_t events = runLanes();
+    std::uint64_t events = runQueues();
     double wallSeconds =
         std::chrono::duration_cast<std::chrono::duration<double>>(
             std::chrono::steady_clock::now() - wall0)
@@ -814,8 +623,7 @@ MultiGpuSystem::collect()
     r.execTime = hostEq_.now();
     for (auto &q : gpuQs_)
         r.execTime = std::max(r.execTime, q->now());
-    for (const LaneCounter &shard : farFaultShards_)
-        r.farFaults += shard.value;
+    r.farFaults = farFaults_;
 
     for (auto &cu : cus_) {
         r.instructions += cu->instructions();
@@ -950,8 +758,8 @@ MultiGpuSystem::collect()
     // Fabric telemetry: one row per link in forEachLink's stable order,
     // the worst-fabric-edge scalars the ledger keys summarize, and the
     // routed-traffic hop-distance mix. Utilization is busy wire cycles
-    // over the run's final tick so links living on different lanes are
-    // comparable.
+    // over the run's final tick so links clocked by different queues
+    // are comparable.
     {
         double util_sum = 0.0;
         std::size_t fabric_n = 0;
@@ -1022,19 +830,7 @@ MultiGpuSystem::collect()
     r.counterMigrations = es.counterMigrations;
     r.bytesMoved = es.bytesMoved;
 
-    // Merge the per-lane sharing shards in lane order; every combining
-    // op (mask OR, count sums) is commutative, so the merged table is
-    // a pure function of the simulation.
-    sim::FlatMap<mem::Vpn, PageSharing> sharing;
-    for (auto &shard : sharingShards_) {
-        for (const auto &[vpn, ps] : shard.map) {
-            PageSharing &m = sharing[vpn];
-            m.gpuMask |= ps.gpuMask;
-            m.reads += ps.reads;
-            m.writes += ps.writes;
-        }
-    }
-    for (const auto &[vpn, ps] : sharing) {
+    for (const auto &[vpn, ps] : sharing_) {
         int sharers = std::popcount(ps.gpuMask);
         r.sharingAccesses.record(static_cast<std::size_t>(sharers),
                                  ps.reads + ps.writes);
@@ -1044,12 +840,9 @@ MultiGpuSystem::collect()
         }
     }
 
-    // Latency attribution + watchdog verdicts. Relays are drained at
-    // every window barrier, but drain once more for safety before
-    // finalize() counts races still open after the lanes parked; the
-    // span-nesting sweep runs here because it needs the full trace.
-    for (auto &relay : relays_)
-        relay.drainTo(obs_->attribution);
+    // Latency attribution + watchdog verdicts: finalize() counts races
+    // still open after the queues drained; the span-nesting sweep runs
+    // here because it needs the full trace.
     obs_->attribution.finalize();
     if (cfg_.obs.spans)
         obs_->checks.verifySpanNesting(obs_->spans);
@@ -1061,19 +854,7 @@ MultiGpuSystem::collect()
     for (auto &q : gpuQs_)
         r.peakEventBacklog += q->peakPending();
 
-    // Lane self-profiles merge by sum: every bucket second and every
-    // dispatch was measured on exactly one lane, so bucket-sum ==
-    // total survives the merge by construction.
-    obs::HostProfile prof = obs_->profiler.snapshot();
-    for (auto &lp : laneProfilers_) {
-        obs::HostProfile p = lp->snapshot();
-        for (std::size_t b = 0; b < obs::kNumProfBuckets; ++b)
-            prof.seconds[b] += p.seconds[b];
-        prof.totalSeconds += p.totalSeconds;
-        prof.dispatches += p.dispatches;
-        prof.sampledDispatches += p.sampledDispatches;
-    }
-    r.hostProfile = prof;
+    r.hostProfile = obs_->profiler.snapshot();
     return r;
 }
 

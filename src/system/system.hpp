@@ -13,7 +13,6 @@
 #include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/random.hpp"
 #include "system/results.hpp"
 #include "transfw/ft_cluster.hpp"
@@ -30,31 +29,14 @@ namespace transfw::sys {
  * augmented with Trans-FW's PRT/FT. Construct with a config and a
  * workload, call run() once, read the SimResults.
  *
- * Event kernel: the machine is decomposed into N+1 event lanes — one
- * per GPU plus one for everything host-side (host MMU / UVM driver,
- * migration engine, central page table, interconnect routing) — run
- * on an adaptive alternating schedule. Host events execute one tick
- * at a time with every GPU lane parked (the host writes GPU-visible
- * state with zero modeled latency, so it must never run ahead of a
- * lane); between host ticks the GPU lanes execute in parallel up to
- * the *adaptive* lookahead bound
- *
- *   min(next host event, min_g(lane g's next event + laneWindow(g)))
- *
- * where laneWindow(g) is the lower-bound latency of the cheapest
- * cross-lane channel lane g can send on (its uplink's control token +
- * propagation). Because the bound follows the dynamic per-lane next-
- * event times instead of one static global minimum, staggered lanes
- * buy long windows, and lanes with nothing runnable before the bound
- * skip the window (and its barrier) entirely. Cross-lane messages
- * batch into per-(source lane, host) mailboxes flushed once per
- * window; the lookahead guarantees they land at ticks no lane has
- * passed. GPUs are block-partitioned onto workers along the
- * interconnect's affinity order (ring neighbours share a worker), one
- * static group per worker. cfg.sim.lanes picks the worker-thread
- * count for the GPU windows; 0 runs the identical schedule serially,
- * and every lane count produces bit-identical SimResults (see
- * DESIGN.md).
+ * Event kernel: N+1 event queues, one per GPU plus one for everything
+ * host-side (host MMU / UVM driver, migration engine, central page
+ * table, interconnect routing), merged by one single-threaded loop.
+ * Each step runs every event of the next tick of the queue with the
+ * smallest (tick, queue) key: the host queue first on ties, then the
+ * GPUs in index order. Each queue already orders its own events by
+ * (tick, seq), so the merge is a total order that depends only on the
+ * simulation (see DESIGN.md, "Event kernel").
  */
 class MultiGpuSystem
 {
@@ -83,25 +65,12 @@ class MultiGpuSystem
     core::FtCluster *ftCluster() { return ft_.get(); }
     ic::Network &network() { return net_; }
     mem::PageTable &centralPageTable() { return central_; }
-    /** The host lane's queue (runs in host-exclusive single-tick
-     *  stretches between parallel GPU segments). */
+    /** The host queue (first on same-tick ties). */
     sim::EventQueue &eventq() { return hostEq_; }
-    /** GPU @p gpu's lane queue. */
+    /** GPU @p gpu's queue. */
     sim::EventQueue &gpuEventq(int gpu)
     {
         return *gpuQs_[static_cast<std::size_t>(gpu)];
-    }
-    /** Minimum per-lane lookahead window (ticks): the smallest
-     *  laneWindow(g) over all GPUs. Kept as the scalar summary for
-     *  ledger/results reporting; the scheduler itself uses the
-     *  per-lane values. */
-    sim::Tick lookaheadWindow() const { return window_; }
-    /** Lane @p gpu's lookahead window: the lower-bound delay of the
-     *  cheapest cross-lane message it can originate (uplink control
-     *  token + propagation). */
-    sim::Tick laneWindow(int gpu) const
-    {
-        return laneWindows_[static_cast<std::size_t>(gpu)];
     }
     const cfg::SystemConfig &config() const { return cfg_; }
 
@@ -117,85 +86,40 @@ class MultiGpuSystem
         std::uint64_t writes = 0;
     };
 
-    /** A lane-owned counter on its own cache line: parallel windows
-     *  bump these with zero coherence traffic between workers. */
-    struct alignas(sim::kCacheLine) LaneCounter
-    {
-        std::uint64_t value = 0;
-    };
-
-    /** A lane-owned sharing-tracker shard, cache-line separated for
-     *  the same reason as LaneCounter. */
-    struct alignas(sim::kCacheLine) SharingShard
-    {
-        sim::FlatMap<mem::Vpn, PageSharing> map;
-    };
-
     void placeInitialPages();
     void wireGpu(int gpu);
-    void wireLanes();
+    void wireQueues();
     void sendFaultToHost(mmu::XlatPtr req);
     void setupObservability();
     SimResults collect();
 
-    /** The windowed multi-lane kernel; @return events executed. */
-    std::uint64_t runLanes();
-    /** Barrier: move every mailbox message onto the host queue in
-     *  deterministic (arrival tick, source lane, post order). */
-    void drainMail();
-    /** Block-partition the GPUs onto @p workers groups along the
-     *  interconnect's affinity order (one static group per worker). */
-    std::vector<std::vector<int>> buildLaneGroups(unsigned workers) const;
-    /** Worker threads for the GPU phase (forced to 1 when a feature
-     *  reaches across lanes: Least-TLB sibling probes, the shared span
-     *  recorder, or tracing). */
-    unsigned laneWorkers() const;
+    /** Merge the N+1 queues until none has a strong event left;
+     *  @return events executed. */
+    std::uint64_t runQueues();
 
     /** Attribution engine for event-time charge mirroring. Fetched at
-     *  call time because the wiring lambdas are created before obs_.
-     *  Host-lane sink: GPU lanes report through laneAttrib(). */
+     *  call time because the wiring lambdas are created before obs_. */
     obs::AttributionEngine *attribEngine()
     {
         return obs_ ? &obs_->attribution : nullptr;
     }
 
-    /** GPU lane @p g's attribution sink (barrier-drained relay). */
-    obs::AttribSink *laneAttrib(int g)
-    {
-        return &relays_[static_cast<std::size_t>(g)];
-    }
-
-    /** Host-lane self-profiler, same late-fetch rule as attribEngine(). */
+    /** Self-profiler, same late-fetch rule as attribEngine(). */
     obs::SelfProfiler *profiler()
     {
         return obs_ ? &obs_->profiler : nullptr;
     }
 
-    /** GPU lane @p g's self-profiler. */
-    obs::SelfProfiler *laneProfiler(int g)
-    {
-        return laneProfilers_[static_cast<std::size_t>(g)].get();
-    }
-
     cfg::SystemConfig cfg_;
     const wl::Workload &workload_;
 
-    /** Minimum of laneWindows_ (scalar summary for reporting). */
-    sim::Tick window_ = 1;
-    /** Per-lane conservative lookahead: no message *originated by*
-     *  lane g can arrive anywhere sooner than laneWindows_[g] ticks
-     *  after it is sent. Only the uplink bounds it — peer and downlink
-     *  traffic is host-lane-driven, so peer latency never clamps a
-     *  GPU lane's window. */
-    std::vector<sim::Tick> laneWindows_;
-
-    /** Per-GPU event lanes; filled before any component exists. */
+    /** Per-GPU event queues; filled before any component exists. */
     std::vector<std::unique_ptr<sim::EventQueue>> gpuQs_;
-    /** The host/IOMMU lane (also the pre-run construction clock). */
+    /** The host/IOMMU queue (also the pre-run construction clock). */
     sim::EventQueue hostEq_;
 
-    sim::Rng rng_; ///< host lane
-    /** Per-GPU streams, seed-derived; each used only by its own lane. */
+    sim::Rng rng_; ///< host side
+    /** Per-GPU streams, seed-derived; each used only by its own GPU. */
     std::vector<std::unique_ptr<sim::Rng>> gpuRngs_;
 
     mem::PageTable central_;
@@ -210,19 +134,9 @@ class MultiGpuSystem
     gpu::CtaScheduler scheduler_;
     std::vector<std::unique_ptr<gpu::ComputeUnit>> cus_;
 
-    /** GPU→host mailboxes, one per source lane (single writer each;
-     *  cache-line aligned so neighbouring lanes' batches never share
-     *  a line). Flushed once per window by drainMail(). */
-    std::vector<sim::Mailbox> mail_;
-    /** Per-GPU-lane attribution buffers, replayed in lane order. */
-    std::vector<obs::AttribRelay> relays_;
-    /** Per-GPU-lane self-profilers, merged into the host profile. */
-    std::vector<std::unique_ptr<obs::SelfProfiler>> laneProfilers_;
-
-    /** Sharing tracker shards, one per GPU lane; merged at collect. */
-    std::vector<SharingShard> sharingShards_;
-    /** Far-fault counters, one per GPU lane; summed at collect. */
-    std::vector<LaneCounter> farFaultShards_;
+    /** Per-page sharing tracker (GPU mask, read/write counts). */
+    sim::FlatMap<mem::Vpn, PageSharing> sharing_;
+    std::uint64_t farFaults_ = 0;
     bool ran_ = false;
 
     /**

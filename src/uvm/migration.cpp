@@ -218,18 +218,15 @@ MigrationEngine::transfer(int from_owner, int to_gpu,
             // request's timeline. Uncounted: the Migration bucket is
             // still charged as the lump `arrival - start` by the
             // caller, and these hops only say where on the fabric the
-            // payload spent it (the hook runs on the host lane, so the
-            // engine's sink is safe to call directly).
-            obs::AttribSink *sink = attrib_;
+            // payload spent it.
             mmu::XlatPtr req = traced;
             net_.sendPeerTraced(
                 from_owner, to_gpu, bytes,
-                [this, sink, req](int from, int to,
-                                  const ic::HopTiming &t) {
-                    sink->hop(req->gpu, req->id,
-                              obs::AttribBucket::Migration,
-                              toAttribHop(from, to, t),
-                              /*counted=*/false, curTick());
+                [this, req](int from, int to, const ic::HopTiming &t) {
+                    attrib_->hop(req->gpu, req->id,
+                                 obs::AttribBucket::Migration,
+                                 toAttribHop(from, to, t),
+                                 /*counted=*/false, curTick());
                 },
                 std::move(cb));
             return;

@@ -69,7 +69,7 @@ class MigrationEngine : public sim::SimObject
     const Stats &stats() const { return stats_; }
 
     /** Observability: mirror latency charges per request (nullable). */
-    void attachAttribution(obs::AttribSink *attrib)
+    void attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
     }
@@ -165,7 +165,7 @@ class MigrationEngine : public sim::SimObject
     ic::Network &net_;
     core::FtCluster *ft_;
     Stats stats_;
-    obs::AttribSink *attrib_ = nullptr;
+    obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 
     /** Pages with a move in flight → resolves waiting on them.

@@ -65,7 +65,7 @@ class UvmDriver : public sim::SimObject
     /** Observability: record lifecycle spans into @p spans (nullable). */
     void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
     /** Observability: mirror latency charges per request (nullable). */
-    void attachAttribution(obs::AttribSink *attrib)
+    void attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
     }
@@ -119,7 +119,7 @@ class UvmDriver : public sim::SimObject
 
     Stats stats_;
     obs::SpanRecorder *spans_ = nullptr;
-    obs::AttribSink *attrib_ = nullptr;
+    obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 };
 

@@ -360,33 +360,6 @@ TEST(SelfProfiler, BucketsSumToTotalAndProfileIsPopulated)
 #endif
 }
 
-TEST(SelfProfiler, LaneSyncBucketAttributesBarrierTime)
-{
-    // Window barriers run *between* event dispatches, so the dispatch
-    // hook cannot see them; the lane kernel samples them into the
-    // dedicated laneSync bucket. Both the bucket and the total grow by
-    // the same measured nanoseconds, so the partition invariant holds
-    // with the parallel kernel active too.
-    EXPECT_STREQ(obs::profBucketName(obs::ProfBucket::LaneSync),
-                 "laneSync");
-
-    cfg::SystemConfig config = sys::transFwConfig();
-    config.sim.lanes = 2;
-    config.obs.selfProfile = true;
-    config.obs.profileStride = 1; // sample every dispatch and barrier
-    sys::SimResults r = sys::runApp("MT", config, kScale);
-
-#if TRANSFW_OBS
-    const obs::HostProfile &p = r.hostProfile;
-    EXPECT_GT(
-        p.seconds[static_cast<int>(obs::ProfBucket::LaneSync)], 0.0);
-    EXPECT_NEAR(p.bucketSum(), p.totalSeconds,
-                0.01 * p.totalSeconds + 1e-9);
-#else
-    EXPECT_EQ(r.hostProfile.totalSeconds, 0.0);
-#endif
-}
-
 TEST(SelfProfiler, DisabledProfilerRecordsNothing)
 {
     cfg::SystemConfig config = sys::baselineConfig();
