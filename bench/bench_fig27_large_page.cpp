@@ -49,6 +49,6 @@ main()
         speedups.push_back(s);
         bench::row(app, {s, base.pfpki()});
     }
-    bench::row("geomean", {bench::geomean(speedups), 0.0});
+    bench::row("geomean", {bench::geomean(speedups)});
     return 0;
 }

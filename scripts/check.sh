@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 check: build and run the full test suite, validate the
-# microbench JSON schema, gate end-to-end simulator throughput against
-# the committed BENCH_core.json, then rebuild twice more: once with
+# Tier-1 check: build and run the full test suite, gate the peak RSS
+# of a 64-GPU pod run, validate the microbench JSON schema, gate
+# end-to-end simulator throughput against the committed
+# BENCH_core.json, then rebuild twice more: once with
 # -DTRANSFW_OBS=OFF (observability compiled out entirely) and once with
 # AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
 # promoted to a hard abort (TRANSFW_OBS_STRICT) — a single attribution
@@ -47,6 +48,28 @@ echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== footprint gate (64-GPU ring pod, peak RSS <= 128 MB) =="
+# Memory that grows with the GPU count (65 page tables, per-GPU maps
+# and reservations) shows first on the largest pod. This run peaked at
+# 917 MB with dense 512-entry page-table leaves and at 29 MB with the
+# sparse PTE map.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import resource, subprocess, sys
+subprocess.run(["./build/examples/simulate", "--app", "MT", "--transfw",
+                "--gpus", "64", "--cus", "4", "--shards", "4",
+                "--topology", "ring"], check=True,
+               stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"peak RSS {peak_mb:.1f} MB (limit 128 MB)")
+if peak_mb > 128:
+    sys.exit("footprint gate FAILED: peak RSS above 128 MB")
+print("footprint gate OK")
+EOF
+else
+    echo "skipped (python3 unavailable)"
+fi
 
 echo "== microbench smoke (BENCH_core.json schema v3) =="
 SMOKE_JSON=$(mktemp /tmp/bench_core_smoke.XXXXXX.json)

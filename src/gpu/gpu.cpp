@@ -26,15 +26,16 @@ Gpu::Gpu(sim::EventQueue &eq, const cfg::SystemConfig &config, int gpu_id,
         memHierarchy_ = std::make_unique<mem::GpuMemoryHierarchy>(
             eq, sim::strfmt("gpu%d.mem", gpu_id), config.memHierarchy,
             config.cusPerGpu);
+        // One cursor per resident page at most; pre-size to the frame
+        // pool so the map never rehashes mid-run (capped for
+        // huge-memory cfgs).
+        lineCursor_.reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(frames_.capacity(), 1u << 16)));
     }
     if (config.transFw.enabled) {
         prt_ = std::make_unique<core::PendingRequestTable>(config.transFw,
                                                            gpu_id);
     }
-    // One cursor per resident page at most; pre-size to the frame pool
-    // so the map never rehashes mid-run (capped for huge-memory cfgs).
-    lineCursor_.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(frames_.capacity(), 1u << 16)));
     trackL1Residency_ = config.cusPerGpu <= 64;
 
     gmmu_.onComplete = [this](mmu::XlatPtr req) { finishTranslation(req); };

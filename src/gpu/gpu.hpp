@@ -192,7 +192,8 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     mmu::Gmmu gmmu_;
     std::unique_ptr<mem::GpuMemoryHierarchy> memHierarchy_;
     /** Per-page line cursors: successive touches of a page sweep its
-     *  cache lines, so re-visits hit the data caches. */
+     *  cache lines, so re-visits hit the data caches (memory-hierarchy
+     *  model only). */
     std::unordered_map<mem::Vpn, std::uint32_t> lineCursor_;
     std::unique_ptr<core::PendingRequestTable> prt_;
     std::uint64_t nextReqId_ = 1;

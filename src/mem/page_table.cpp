@@ -4,7 +4,9 @@
 
 namespace transfw::mem {
 
-PageTable::PageTable(PagingGeometry geo) : geo_(geo)
+PageTable::PageTable(PagingGeometry geo)
+    : geo_(geo),
+      vpnMask_((Vpn{1} << (kIndexBits * geo.walkAccesses())) - 1)
 {
     // The root node: an inner node for the normal multi-level
     // geometries, or directly the leaf node for a degenerate
@@ -12,7 +14,7 @@ PageTable::PageTable(PagingGeometry geo) : geo_(geo)
     if (geo_.levels > geo_.leafLevel())
         inner_.emplace_back();
     else
-        leaves_.emplace_back();
+        leafNodes_ = 1;
 }
 
 std::uint32_t
@@ -22,85 +24,38 @@ PageTable::newInner()
     return static_cast<std::uint32_t>(inner_.size() - 1);
 }
 
-std::uint32_t
-PageTable::newLeaf()
-{
-    leaves_.emplace_back();
-    return static_cast<std::uint32_t>(leaves_.size()); // index + 1
-}
-
-PageTable::LeafNode *
-PageTable::leafNodeFor(Vpn vpn)
-{
-    if (geo_.levels <= geo_.leafLevel())
-        return &leaves_[0];
-    InnerNode *node = &inner_[0];
-    int leaf_parent = geo_.leafLevel() + 1;
-    for (int level = geo_.levels; level > leaf_parent; --level) {
-        std::uint32_t &c = node->child[geo_.index(vpn, level)];
-        if (c == 0)
-            c = newInner();
-        node = &inner_[c];
-    }
-    std::uint32_t &c = node->child[geo_.index(vpn, leaf_parent)];
-    if (c == 0)
-        c = newLeaf();
-    return &leaves_[c - 1];
-}
-
-const PageTable::LeafNode *
-PageTable::leafNodeOf(Vpn vpn) const
-{
-    if (geo_.levels <= geo_.leafLevel())
-        return &leaves_[0];
-    const InnerNode *node = &inner_[0];
-    int leaf_parent = geo_.leafLevel() + 1;
-    for (int level = geo_.levels; level > leaf_parent; --level) {
-        std::uint32_t c = node->child[geo_.index(vpn, level)];
-        if (c == 0)
-            return nullptr;
-        node = &inner_[c];
-    }
-    std::uint32_t c = node->child[geo_.index(vpn, leaf_parent)];
-    return c == 0 ? nullptr : &leaves_[c - 1];
-}
-
 void
 PageTable::map(Vpn vpn, const PageInfo &info)
 {
-    LeafNode *leaf = leafNodeFor(vpn);
-    unsigned leaf_idx = geo_.index(vpn, geo_.leafLevel());
-    if (!leaf->present(leaf_idx)) {
-        leaf->setPresent(leaf_idx);
-        ++mapped_;
+    if (!inner_.empty()) {
+        InnerNode *node = &inner_[0];
+        int leaf_parent = geo_.leafLevel() + 1;
+        for (int level = geo_.levels; level > leaf_parent; --level) {
+            std::uint32_t &c = node->child[geo_.index(vpn, level)];
+            if (c == 0)
+                c = newInner();
+            node = &inner_[c];
+        }
+        std::uint32_t &leaf = node->child[geo_.index(vpn, leaf_parent)];
+        if (leaf == 0) {
+            leaf = 1; // the leaf node now exists
+            ++leafNodes_;
+        }
     }
-    leaf->info[leaf_idx] = info;
+    ptes_.insert_or_assign(key(vpn), info);
 }
 
 bool
 PageTable::unmap(Vpn vpn)
 {
-    const LeafNode *cleaf = leafNodeOf(vpn);
-    if (!cleaf)
-        return false;
-    LeafNode *leaf = const_cast<LeafNode *>(cleaf);
-    unsigned leaf_idx = geo_.index(vpn, geo_.leafLevel());
-    if (!leaf->present(leaf_idx))
-        return false;
-    leaf->clearPresent(leaf_idx);
-    leaf->info[leaf_idx] = PageInfo{};
-    --mapped_;
-    return true;
+    return ptes_.erase(key(vpn)) != 0;
 }
 
 const PageInfo *
 PageTable::lookup(Vpn vpn) const
 {
-    const LeafNode *leaf = leafNodeOf(vpn);
-    if (!leaf)
-        return nullptr;
-    unsigned leaf_idx = geo_.index(vpn, geo_.leafLevel());
-    return leaf->present(leaf_idx) ? &leaf->info[leaf_idx] : nullptr;
+    auto it = ptes_.find(key(vpn));
+    return it == ptes_.end() ? nullptr : &it->second;
 }
 
 PageInfo *
@@ -114,36 +69,8 @@ void
 PageTable::forEachMapped(
     const std::function<void(Vpn, const PageInfo &)> &fn) const
 {
-    // Recursive descent accumulating the VPN from per-level indices.
-    int leaf_level = geo_.leafLevel();
-    std::function<void(const LeafNode &, Vpn)> visitLeaf =
-        [&](const LeafNode &leaf, Vpn prefix) {
-            for (unsigned idx = 0; idx < kFanout; ++idx)
-                if (leaf.present(idx))
-                    fn((prefix << kIndexBits) | idx, leaf.info[idx]);
-        };
-    if (geo_.levels <= leaf_level) {
-        // Degenerate single-level table: the root holds the leaves and
-        // contributes no prefix bits.
-        for (unsigned idx = 0; idx < kFanout; ++idx)
-            if (leaves_[0].present(idx))
-                fn(idx, leaves_[0].info[idx]);
-        return;
-    }
-    std::function<void(const InnerNode &, int, Vpn)> visit =
-        [&](const InnerNode &node, int level, Vpn prefix) {
-            for (unsigned idx = 0; idx < kFanout; ++idx) {
-                std::uint32_t c = node.child[idx];
-                if (c == 0)
-                    continue;
-                Vpn next = (prefix << kIndexBits) | idx;
-                if (level - 1 == leaf_level)
-                    visitLeaf(leaves_[c - 1], next);
-                else
-                    visit(inner_[c], level - 1, next);
-            }
-        };
-    visit(inner_[0], geo_.levels, 0);
+    for (const auto &[vpn, info] : ptes_)
+        fn(vpn, info);
 }
 
 WalkResult
@@ -163,15 +90,11 @@ PageTable::walk(Vpn vpn, int pwc_hit_level) const
     // intermediate nodes are never freed, so a missing node here is a
     // simulator bug.
     const InnerNode *node = inner_.empty() ? nullptr : &inner_[0];
-    const LeafNode *leaf =
-        geo_.levels <= leaf_level ? &leaves_[0] : nullptr;
     for (int level = geo_.levels; level > start_level; --level) {
         std::uint32_t c = node->child[geo_.index(vpn, level)];
         if (c == 0)
             sim::panic("stale PW-cache prefix: intermediate node missing");
-        if (level - 1 == leaf_level)
-            leaf = &leaves_[c - 1];
-        else
+        if (level - 1 > leaf_level)
             node = &inner_[c];
     }
 
@@ -179,20 +102,18 @@ PageTable::walk(Vpn vpn, int pwc_hit_level) const
     for (int level = start_level; level >= leaf_level; --level) {
         ++res.accesses; // read the entry in the level-`level` node
         if (level == leaf_level) {
-            unsigned idx = geo_.index(vpn, level);
-            if (!leaf->present(idx))
+            auto it = ptes_.find(key(vpn));
+            if (it == ptes_.end())
                 return res; // leaf PTE not present: page fault
             res.present = true;
-            res.info = leaf->info[idx];
+            res.info = it->second;
             return res;
         }
         std::uint32_t c = node->child[geo_.index(vpn, level)];
         if (c == 0)
             return res; // intermediate entry not present: early fault
         res.deepestFilled = level;
-        if (level - 1 == leaf_level)
-            leaf = &leaves_[c - 1];
-        else
+        if (level - 1 > leaf_level)
             node = &inner_[c];
     }
     return res;

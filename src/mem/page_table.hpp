@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "mem/address.hpp"
+#include "sim/flat_map.hpp"
 
 namespace transfw::mem {
 
@@ -51,16 +52,24 @@ struct WalkResult
  * entries for intermediate levels valid across page migrations — only
  * the leaf PTE changes.
  *
- * Storage mirrors a hardware radix table: every node is a flat array
- * sized by the radix fanout (512 entries), so walk()/lookup() is a
- * contiguous pointer-chase — one indexed load per level — instead of a
- * hash-map probe per level. Inner nodes hold 32-bit child references
- * into per-kind pools (0 = absent); leaf nodes hold a present bitmap
- * plus the PageInfo array. Nodes are pool-allocated and never freed
- * (unmap only clears the present bit), so no tombstone or reclamation
- * logic exists and PageInfo pointers handed out by lookup() stay
- * stable across later map()/unmap() calls, exactly as with the former
- * node-hash-map representation.
+ * Storage splits the radix structure from its leaf PTEs. Inner nodes
+ * are flat arrays sized by the radix fanout (512 entries) holding
+ * 32-bit child references into one pool (0 = absent), so a walk is one
+ * indexed load per level. A leaf node stores nothing of its own: its
+ * entry in the level above holds a non-zero mark that the node exists,
+ * and the table's present PTEs live in one VPN-keyed FlatMap, as
+ * gpgpu-sim UVMSmart keeps its sparse `ptes` map. The Table III
+ * workloads place one page per 2 MB region and a migrating page leaves
+ * its leaf node behind in every GPU it visits, so a dense 512-entry
+ * leaf would hold at most one live PTE: MT's central table has 2,056
+ * nodes for 2,048 pages, and the 64 GPU tables of a 64-GPU MT run end
+ * with 52,751 nodes for 2,048 mapped pages. Marks, like inner nodes,
+ * are never cleared: unmap() erases only the PTE, and a walk of an
+ * unmapped page still reaches the leaf level.
+ *
+ * A PageInfo pointer handed out by lookup() stays valid until the next
+ * map() on the same table (an insert may rehash the PTE map); unmap()
+ * moves no other entry.
  */
 class PageTable
 {
@@ -88,10 +97,11 @@ class PageTable
     WalkResult walk(Vpn vpn, int pwc_hit_level = 0) const;
 
     /** Number of mapped leaf pages. */
-    std::uint64_t mappedPages() const { return mapped_; }
+    std::uint64_t mappedPages() const { return ptes_.size(); }
 
-    /** Nodes allocated (root included) — sizing/inspection aid. */
-    std::size_t nodeCount() const { return inner_.size() + leaves_.size(); }
+    /** Nodes allocated (root and leaf nodes included) — sizing and
+     *  inspection aid. */
+    std::size_t nodeCount() const { return inner_.size() + leafNodes_; }
 
     /**
      * Visit every mapped leaf as (vpn, info). Used by consistency
@@ -105,48 +115,27 @@ class PageTable
     static constexpr std::size_t kFanout = std::size_t{1} << kIndexBits;
 
     /** Radix node above the leaf level: child references, 0 = absent.
-     *  A child at level leafLevel()+1 indexes leaves_ (offset by one);
-     *  any other child indexes inner_. */
+     *  In a leaf-parent node a non-zero entry only marks that the leaf
+     *  node exists; any other child indexes inner_. */
     struct InnerNode
     {
         std::array<std::uint32_t, kFanout> child{};
     };
 
-    /** Leaf-holding node: present bitmap + flat PTE array. */
-    struct LeafNode
-    {
-        std::array<std::uint64_t, kFanout / 64> presentBits{};
-        std::array<PageInfo, kFanout> info{};
-
-        bool
-        present(unsigned idx) const
-        {
-            return (presentBits[idx >> 6] >> (idx & 63)) & 1;
-        }
-        void setPresent(unsigned idx)
-        {
-            presentBits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        }
-        void clearPresent(unsigned idx)
-        {
-            presentBits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-        }
-    };
-
-    /** Descend to the leaf node covering @p vpn (nullptr if absent). */
-    const LeafNode *leafNodeOf(Vpn vpn) const;
-    /** As above, creating missing nodes along the way. */
-    LeafNode *leafNodeFor(Vpn vpn);
+    /** PTE map key: the VPN bits the radix levels index. Higher bits
+     *  alias, as they do in the inner nodes. */
+    Vpn key(Vpn vpn) const { return vpn & vpnMask_; }
 
     std::uint32_t newInner();
-    std::uint32_t newLeaf();
 
     PagingGeometry geo_;
+    Vpn vpnMask_;
     /** inner_[0] is the root (when the geometry has inner levels). */
     std::deque<InnerNode> inner_;
-    /** Leaf pool; child references store index + 1. */
-    std::deque<LeafNode> leaves_;
-    std::uint64_t mapped_ = 0;
+    /** Leaf nodes marked in their parents (the root, when it is one). */
+    std::size_t leafNodes_ = 0;
+    /** Present leaf PTEs. */
+    sim::FlatMap<Vpn, PageInfo> ptes_;
 };
 
 } // namespace transfw::mem

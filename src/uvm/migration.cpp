@@ -398,8 +398,8 @@ MigrationEngine::remoteMap(mmu::XlatPtr req, mem::PageInfo &info,
     mmu::charge(*req, attrib_, obs::AttribBucket::PteInstall,
                 static_cast<double>(cfg_.memLatency), curTick());
     schedule(cfg_.memLatency, [this, req, done = std::move(done)]() mutable {
-        // Re-look the entry up: central leaves are stable objects, but
-        // holding a reference across an event boundary is fragile.
+        // Re-look the entry up: a PageInfo pointer is valid only until
+        // the next map() on its table, so none is held across events.
         mem::PageInfo *cur = central_.lookup(req->vpn);
         tlb::TlbEntry entry = mapRemote(req->gpu, req->vpn, *cur);
         complete(req->vpn, entry, std::move(done));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "filter/cuckoo_filter.hpp"
@@ -133,6 +134,18 @@ TEST(CuckooFilter, RejectsBadParams)
     EXPECT_EXIT({ CuckooFilter filter(params); (void)filter; },
                 ::testing::ExitedWithCode(1), "fingerprint");
 }
+
+namespace transfw::filter {
+
+/** Test names show the shape (b125_s4_f13), not the struct's bytes. */
+void
+PrintTo(const CuckooParams &params, std::ostream *os)
+{
+    *os << 'b' << params.numBuckets << "_s" << params.slotsPerBucket
+        << "_f" << params.fingerprintBits;
+}
+
+} // namespace transfw::filter
 
 /** Parameterized: delete-after-insert round trips across shapes. */
 class CuckooShapes : public ::testing::TestWithParam<CuckooParams>
