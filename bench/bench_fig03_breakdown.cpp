@@ -21,17 +21,21 @@ main()
     std::vector<sys::SimResults> runs;
     for (const auto &app : bench::allApps()) {
         sys::SimResults r = sys::runApp(app, baseline);
-        double total = r.xlat.total();
+        const obs::AttributionTable &at = r.attribution;
+        double total = at.bucketTotal();
         if (total <= 0)
             total = 1;
+        auto pct = [&](obs::LatField f) {
+            return 100.0 * at.fieldTotal(f) / total;
+        };
         bench::row(app,
-                   {100.0 * r.xlat.gmmuQueue / total,
-                    100.0 * r.xlat.gmmuMem / total,
-                    100.0 * r.xlat.hostQueue / total,
-                    100.0 * r.xlat.hostMem / total,
-                    100.0 * r.xlat.migration / total,
-                    100.0 * r.xlat.network / total,
-                    100.0 * r.xlat.other / total, r.avgXlatLatency,
+                   {pct(obs::LatField::GmmuQueue),
+                    pct(obs::LatField::GmmuMem),
+                    pct(obs::LatField::HostQueue),
+                    pct(obs::LatField::HostMem),
+                    pct(obs::LatField::Migration),
+                    pct(obs::LatField::Network),
+                    pct(obs::LatField::Other), r.avgXlatLatency,
                     r.xlatLatencyHist.quantile(0.50),
                     r.xlatLatencyHist.quantile(0.99)},
                    1);

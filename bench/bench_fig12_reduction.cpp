@@ -36,22 +36,20 @@ main()
             1, a.l2TlbMisses));
         double nb = static_cast<double>(std::max<std::uint64_t>(
             1, b.l2TlbMisses));
-        auto cmp = [&](double x, double y) {
-            return reduction(x / na, y / nb);
+        auto cmp = [&](obs::LatField f) {
+            return reduction(a.attribution.fieldTotal(f) / na,
+                             b.attribution.fieldTotal(f) / nb);
         };
-        double xlat_a = (a.xlat.gmmuQueue + a.xlat.gmmuMem +
-                         a.xlat.hostQueue + a.xlat.hostMem +
-                         a.xlat.network + a.xlat.other) /
-                        na;
-        double xlat_b = (b.xlat.gmmuQueue + b.xlat.gmmuMem +
-                         b.xlat.hostQueue + b.xlat.hostMem +
-                         b.xlat.network + b.xlat.other) /
-                        nb;
-        double r1 = cmp(a.xlat.gmmuQueue, b.xlat.gmmuQueue);
-        double r2 = cmp(a.xlat.gmmuMem, b.xlat.gmmuMem);
-        double r3 = cmp(a.xlat.hostQueue, b.xlat.hostQueue);
-        double r4 = cmp(a.xlat.hostMem, b.xlat.hostMem);
-        double r5 = reduction(xlat_a, xlat_b);
+        // The translation part: everything but page migration.
+        auto xlat_part = [](const sys::SimResults &r) {
+            return r.attribution.bucketTotal() -
+                   r.attribution.fieldTotal(obs::LatField::Migration);
+        };
+        double r1 = cmp(obs::LatField::GmmuQueue);
+        double r2 = cmp(obs::LatField::GmmuMem);
+        double r3 = cmp(obs::LatField::HostQueue);
+        double r4 = cmp(obs::LatField::HostMem);
+        double r5 = reduction(xlat_part(a) / na, xlat_part(b) / nb);
         double r6 = reduction(a.avgXlatLatency, b.avgXlatLatency);
         gq.push_back(r1);
         gm.push_back(r2);

@@ -589,8 +589,7 @@ struct EndToEndMeasurement
  * Whole-simulation runs (MT under the Trans-FW config). The rate run
  * uses the same scale in smoke and full mode so scripts/check.sh can
  * gate events/sec against the committed full-mode JSON; the full mode
- * additionally times the scale-4 run whose pre-refactor wall clock is
- * frozen in kPreRefactorWallSeconds.
+ * additionally times a scale-4 run.
  */
 EndToEndMeasurement
 simEndToEnd(bool smoke)
@@ -628,29 +627,6 @@ simEndToEnd(bool smoke)
     }
     return m;
 }
-
-/**
- * Frozen reference: wall seconds for runApp("MT", transFwConfig, 4.0)
- * built from the pre-refactor tree (node-hash-map page table, std
- * hash maps across the translation path, three-hash Cuckoo probes),
- * best of 22 runs interleaved with the current build on the same
- * machine — the minimum over many interleaved runs, because tenant
- * noise on a shared host only ever slows a run down. The
- * sim_end_to_end.speedup_vs_pre_refactor field compares the current
- * build's best-of-5 against this reference, so the committed value is
- * only meaningful when regenerated on an otherwise idle machine.
- */
-constexpr double kPreRefactorWallSeconds = 0.5505;
-
-/**
- * Frozen reference: the same A/B measured as strictly interleaved
- * pre/post run pairs (22 runs of each, alternating, same machine,
- * minima compared). Interleaving cancels the slow drift in host
- * tenancy that the live speedup_vs_pre_refactor ratio is exposed to,
- * so this is the controlled measurement of the refactor's whole-run
- * effect: 0.5505 s -> 0.4064 s.
- */
-constexpr double kInterleavedAbSpeedup = 1.355;
 
 struct SweepMeasurement
 {
@@ -983,14 +959,8 @@ writeCoreJson(const std::string &path, bool smoke)
     std::fprintf(f, "    \"events_per_sec\": %.0f,\n", e2e.eventsPerSec);
     if (!smoke) {
         std::fprintf(f, "    \"full_scale\": %.2f,\n", e2e.fullScale);
-        std::fprintf(f, "    \"full_wall_seconds\": %.4f,\n",
+        std::fprintf(f, "    \"full_wall_seconds\": %.4f\n",
                      e2e.fullWallSeconds);
-        std::fprintf(f, "    \"pre_refactor_wall_seconds\": %.4f,\n",
-                     kPreRefactorWallSeconds);
-        std::fprintf(f, "    \"speedup_vs_pre_refactor\": %.3f,\n",
-                     ratio(kPreRefactorWallSeconds, e2e.fullWallSeconds));
-        std::fprintf(f, "    \"interleaved_ab_speedup\": %.3f\n",
-                     kInterleavedAbSpeedup);
     } else {
         std::fprintf(f, "    \"full_scale\": 0.0\n");
     }
@@ -1003,17 +973,14 @@ writeCoreJson(const std::string &path, bool smoke)
     std::fprintf(stderr,
                  "event kernel %.2fx, request pool %.2fx, page table "
                  "%.2fx, mshr %.2fx, flat map %.2fx, cuckoo %.2fx, "
-                 "sweep %.2fx on %d jobs (identical=%s), e2e %.2fx -> "
+                 "sweep %.2fx on %d jobs (identical=%s), e2e %.3f s -> "
                  "%s\n",
                  ratio(fast, legacy), ratio(pooled, sharedPtr),
                  ratio(ptFlat, ptLegacy), ratio(mshrFlat, mshrLegacy),
                  ratio(mapFlat, mapStd), ratio(cuckooPacked, cuckooLegacy),
                  ratio(sweep.serialSeconds, sweep.parallelSeconds),
                  sweep.parallelJobs, sweep.identical ? "yes" : "no",
-                 smoke ? 0.0
-                       : ratio(kPreRefactorWallSeconds,
-                               e2e.fullWallSeconds),
-                 path.c_str());
+                 e2e.fullWallSeconds, path.c_str());
     return sweep.identical ? 0 : 1;
 }
 

@@ -11,14 +11,14 @@
  */
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "transfw/transfw.hpp"
 
 using namespace transfw;
-
-#if TRANSFW_OBS
 
 namespace {
 
@@ -84,8 +84,8 @@ main(int argc, char **argv)
     wl::SyntheticWorkload workload(
         wl::appSpec(app, sys::effectiveScale(0.0)));
     sys::MultiGpuSystem system(config, workload);
-    // Timelines must be armed before the run; records are otherwise
-    // released as soon as their race closes.
+    // Timelines must be armed before the run: only requests begun
+    // while they are kept get one.
     system.obs().attribution.setKeepTimelines(true);
     sys::SimResults r = system.run();
 
@@ -108,7 +108,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const obs::AttributionEngine::Timeline *tl =
+    const obs::Timeline *tl =
         system.obs().attribution.timeline(gpu, id);
     if (!tl) {
         std::fprintf(stderr, "request gpu%d:%llu unknown\n", gpu,
@@ -116,6 +116,8 @@ main(int argc, char **argv)
         return 1;
     }
 
+    const double total =
+        std::accumulate(std::begin(tl->bucket), std::end(tl->bucket), 0.0);
     std::printf("== %s (%s): translation gpu%d:%llu ==\n", app.c_str(),
                 mode.c_str(), gpu, static_cast<unsigned long long>(id));
     std::printf("vpn 0x%llx  issued @%llu  finished @%llu  wall %llu  "
@@ -124,7 +126,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(tl->tIssue),
                 static_cast<unsigned long long>(tl->tFinish),
                 static_cast<unsigned long long>(tl->tFinish - tl->tIssue),
-                tl->total);
+                total);
 
     std::printf("[buckets]\n");
     for (std::size_t b = 0; b < obs::kNumAttribBuckets; ++b) {
@@ -133,7 +135,7 @@ main(int argc, char **argv)
         std::printf("  %-16s %10.0f  (%5.1f%%)\n",
                     obs::bucketName(static_cast<obs::AttribBucket>(b)),
                     tl->bucket[b],
-                    tl->total ? 100.0 * tl->bucket[b] / tl->total : 0.0);
+                    total ? 100.0 * tl->bucket[b] / total : 0.0);
     }
 
     // The actual route this request's messages took, edge by edge,
@@ -182,16 +184,3 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.obsCheckViolations));
     return 0;
 }
-
-#else // !TRANSFW_OBS
-
-int
-main()
-{
-    std::fprintf(stderr, "explain_request requires a TRANSFW_OBS=ON "
-                         "build; this binary was compiled without "
-                         "observability.\n");
-    return 1;
-}
-
-#endif // TRANSFW_OBS

@@ -144,13 +144,16 @@ main(int argc, char **argv)
 
     std::printf("[latency breakdown, cycles per L2 miss]\n");
     double n = r.l2TlbMisses ? static_cast<double>(r.l2TlbMisses) : 1.0;
-    dump("gmmu queue", r.xlat.gmmuQueue / n);
-    dump("gmmu walk mem", r.xlat.gmmuMem / n);
-    dump("host queue", r.xlat.hostQueue / n);
-    dump("host walk mem", r.xlat.hostMem / n);
-    dump("migration (incl. parking)", r.xlat.migration / n);
-    dump("network", r.xlat.network / n);
-    dump("other", r.xlat.other / n);
+    auto field = [&](obs::LatField f) {
+        return r.attribution.fieldTotal(f) / n;
+    };
+    dump("gmmu queue", field(obs::LatField::GmmuQueue));
+    dump("gmmu walk mem", field(obs::LatField::GmmuMem));
+    dump("host queue", field(obs::LatField::HostQueue));
+    dump("host walk mem", field(obs::LatField::HostMem));
+    dump("migration (incl. parking)", field(obs::LatField::Migration));
+    dump("network", field(obs::LatField::Network));
+    dump("other", field(obs::LatField::Other));
     dump("total (avg measured)", r.avgXlatLatency);
     dump("p50", r.xlatLatencyHist.quantile(0.50));
     dump("p90", r.xlatLatencyHist.quantile(0.90));
@@ -158,7 +161,6 @@ main(int argc, char **argv)
     dump("p99", r.xlatLatencyHist.quantile(0.99));
     dump("p99.9", r.xlatLatencyHist.quantile(0.999));
 
-#if TRANSFW_OBS
     if (r.attribution.requests) {
         std::printf("[attribution, cycles per finished translation]\n");
         for (std::size_t b = 0; b < obs::kNumAttribBuckets; ++b) {
@@ -189,6 +191,7 @@ main(int argc, char **argv)
     dump("watchdog violations", r.obsCheckViolations);
     dump("dropped spans", r.droppedSpans);
 
+#if TRANSFW_OBS
     // Per-link congestion: where on the fabric routed traffic queued.
     {
         std::size_t fabric_edges = 0;

@@ -3,7 +3,8 @@
 # of a 64-GPU pod run, validate the microbench JSON schema, gate
 # end-to-end simulator throughput against the committed
 # BENCH_core.json, then rebuild twice more: once with
-# -DTRANSFW_OBS=OFF (observability compiled out entirely) and once with
+# -DTRANSFW_OBS=OFF (spans, self-profiler and fabric telemetry compiled
+# out; its Trans-FW ledger must match the plain build's) and once with
 # AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
 # promoted to a hard abort (TRANSFW_OBS_STRICT) — a single attribution
 # or span-nesting violation anywhere in the suite fails the gate — and
@@ -271,11 +272,40 @@ if [[ "$FAST" == "1" ]]; then
 fi
 
 echo "== no-obs build (-DTRANSFW_OBS=OFF) =="
-# Proves every span/attribution call site compiles out and the
-# simulator is bit-identical without the instrumentation.
+# Spans, the self-profiler and fabric telemetry compile out; latency
+# attribution does not. Results must not depend on the switch: one
+# Trans-FW run's ledger record from each build must carry equal values
+# on every metric key both records have (the fabric.* keys exist only
+# with observability compiled in).
 cmake -B build-noobs -S . -DTRANSFW_OBS=OFF >/dev/null
 cmake --build build-noobs -j "$JOBS"
 ctest --test-dir build-noobs --output-on-failure -j "$JOBS"
+if command -v python3 >/dev/null 2>&1; then
+    OBS_LEDGER=$(mktemp /tmp/transfw_obs.XXXXXX.jsonl)
+    NOOBS_LEDGER=$(mktemp /tmp/transfw_noobs.XXXXXX.jsonl)
+    rm -f "$OBS_LEDGER" "$NOOBS_LEDGER"
+    ./build/examples/simulate --app MT --transfw --scale 0.25 \
+        --ledger "$OBS_LEDGER" >/dev/null
+    ./build-noobs/examples/simulate --app MT --transfw --scale 0.25 \
+        --ledger "$NOOBS_LEDGER" >/dev/null
+    python3 - "$OBS_LEDGER" "$NOOBS_LEDGER" <<'EOF'
+import json, sys
+on, off = (json.loads(open(path).readline())["metrics"]
+           for path in sys.argv[1:3])
+shared = sorted(set(on) & set(off))
+assert shared, "no shared metric keys"
+diff = [k for k in shared if on[k] != off[k]]
+for k in diff:
+    print(f"  {k}: {on[k]!r} (obs) vs {off[k]!r} (no-obs)")
+if diff:
+    sys.exit(f"no-obs gate FAILED: {len(diff)} of {len(shared)} shared "
+             "metrics depend on TRANSFW_OBS")
+print(f"no-obs gate OK ({len(shared)} shared metrics identical)")
+EOF
+    rm -f "$OBS_LEDGER" "$NOOBS_LEDGER"
+else
+    echo "no-obs result gate skipped (python3 unavailable)"
+fi
 
 echo "== sanitizer build (address,undefined + strict obs watchdog) =="
 cmake -B build-asan -S . -DTRANSFW_SANITIZE=address,undefined >/dev/null

@@ -111,7 +111,6 @@ SystemConfig::key() const
     u(obs.spans);
     u(obs.sampleInterval);
     u(obs.maxSpans);
-    u(obs.attribution);
     u(obs.selfProfile);
     u(obs.profileStride);
     u(seed);

@@ -102,10 +102,8 @@ Gpu::startTranslation(int cu, mem::Vpn vpn, bool write)
     req->cu = cu;
     req->isWrite = write;
     req->tIssue = curTick();
-#if TRANSFW_OBS
     if (attrib_)
-        attrib_->begin(id_, req->id, req->vpn, curTick());
-#endif
+        attrib_->begin(req->lat, id_, req->id, req->vpn, curTick());
 
     if (prt_ && cfg_.transFw.enableShortCircuit) {
         // Trans-FW short circuit (Section IV-B): a PRT miss means the
@@ -119,16 +117,14 @@ Gpu::startTranslation(int cu, mem::Vpn vpn, bool write)
                 ++stats_.shortCircuits;
                 req->shortCircuited = true;
                 req->faulted = true;
-#if TRANSFW_OBS
                 if (attrib_) {
                     // The skipped work: a full local walk plus the
                     // fault bookkeeping before it left the GPU anyway.
                     double est = static_cast<double>(
                         cfg_.pageTableLevels * cfg_.memLatency +
                         cfg_.faultFixedCost);
-                    attrib_->shortCircuited(id_, req->id, est, curTick());
+                    attrib_->shortCircuited(req->lat, est, curTick());
                 }
-#endif
                 hooks.sendFault(req);
             }
         });
@@ -181,16 +177,13 @@ Gpu::finishTranslation(const mmu::XlatPtr &req)
     double wall = static_cast<double>(curTick() - req->tIssue);
     stats_.xlatLatency.record(wall);
     stats_.xlatHist.record(wall);
-    recordBreakdown(*req);
     if (spans_)
         spans_->record("xlat", static_cast<std::uint32_t>(id_), req->id,
                        req->tIssue, curTick(), req->vpn,
                        req->lat.total());
-#if TRANSFW_OBS
     if (attrib_)
-        attrib_->finish(id_, req->id, req->lat, req->shortCircuited,
+        attrib_->finish(req->lat, id_, req->id, req->shortCircuited,
                         curTick());
-#endif
 
     l2tlb_.fill(req->vpn, req->result);
     for (int cu : l2Mshr_.release(req->vpn))

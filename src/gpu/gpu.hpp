@@ -117,16 +117,6 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     const tlb::Tlb &l2Tlb() const { return l2tlb_; }
     const tlb::Tlb &l1Tlb(int cu) const { return *l1tlbs_[cu]; }
     const Stats &stats() const { return stats_; }
-    const stats::LatencyBreakdown &xlatBreakdown() const
-    {
-        return breakdown_;
-    }
-
-    /** Accumulate a finished request's component latencies. */
-    void recordBreakdown(const mmu::XlatRequest &req)
-    {
-        breakdown_ += req.lat;
-    }
 
     /** Observability: record lifecycle spans (propagates to the GMMU). */
     void
@@ -135,8 +125,8 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
         spans_ = spans;
         gmmu_.attachSpans(spans);
     }
-    /** Observability: mirror latency charges per request (propagates
-     *  to the GMMU). */
+    /** Observability: fold finished requests into the run's
+     *  attribution (propagates to the GMMU). */
     void
     attachAttribution(obs::AttributionEngine *attrib)
     {
@@ -198,7 +188,6 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     std::unique_ptr<core::PendingRequestTable> prt_;
     std::uint64_t nextReqId_ = 1;
     Stats stats_;
-    stats::LatencyBreakdown breakdown_;
     obs::SpanRecorder *spans_ = nullptr;
     obs::AttributionEngine *attrib_ = nullptr;
 };

@@ -98,10 +98,8 @@ HostMmu::admit(XlatPtr req)
                 rl->req = req;
                 rl->targetGpu = *owner;
                 rl->tForwarded = curTick();
-#if TRANSFW_OBS
                 if (attrib_)
-                    attrib_->forwardLaunched(req->gpu, req->id, curTick());
-#endif
+                    attrib_->forwardLaunched(req->lat, curTick());
                 forwardToGpu(std::move(rl));
             }
         }
@@ -128,16 +126,14 @@ HostMmu::tryDispatch()
         if (entry.req->hostWalkCancelled || entry.req->translationResolved) {
             // Pulled out by a successful remote lookup (Section IV-C).
             ++stats_.removedFromQueue;
-#if TRANSFW_OBS
             if (attrib_ && entry.req->hostWalkCancelled) {
                 // The loser never started; estimate the walk it skipped.
                 attrib_->hostWalkCancelled(
-                    entry.req->gpu, entry.req->id,
+                    entry.req->lat,
                     static_cast<double>(cfg_.pageTableLevels *
                                         cfg_.memLatency),
                     curTick());
             }
-#endif
             continue;
         }
         sim::Tick wait = curTick() - entry.enqueued;
@@ -205,10 +201,8 @@ HostMmu::startWalk(XlatPtr req)
             // A remote lookup won the race; this walk was the
             // replicated work Fig. 14 quantifies.
             ++stats_.duplicateWalks;
-#if TRANSFW_OBS
             if (attrib_)
-                attrib_->hostWalkDone(req->gpu, req->id, true, curTick());
-#endif
+                attrib_->hostWalkDone(req->lat, true, curTick());
             return;
         }
         translationKnown(std::move(req), entry);
@@ -226,27 +220,18 @@ HostMmu::remoteLookupDone(RemoteLookupPtr rl)
                        req->vpn);
     if (!rl->success) {
         ++stats_.forwardFail;
-#if TRANSFW_OBS
         if (attrib_)
-            attrib_->forwardOutcome(req->gpu, req->id, false, false, 0,
-                                    curTick());
-#endif
+            attrib_->forwardOutcome(req->lat, false, false, 0, curTick());
         return; // the host walk proceeds as queued
     }
     ++stats_.forwardSuccess;
     if (req->translationResolved) {
-#if TRANSFW_OBS
         if (attrib_)
-            attrib_->forwardOutcome(req->gpu, req->id, true, false, 0,
-                                    curTick());
-#endif
+            attrib_->forwardOutcome(req->lat, true, false, 0, curTick());
         return; // host walk already finished first
     }
-#if TRANSFW_OBS
     if (attrib_)
-        attrib_->forwardOutcome(req->gpu, req->id, true, true, 0,
-                                curTick());
-#endif
+        attrib_->forwardOutcome(req->lat, true, true, 0, curTick());
     req->hostWalkCancelled = true;
     req->resolvedByRemote = true;
     // The remote GPU supplied (ppn, owner) from its own table.

@@ -90,7 +90,7 @@ class HostMmu : public sim::SimObject
 
     /** Observability: record lifecycle spans into @p spans (nullable). */
     void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
-    /** Observability: mirror latency charges per request (nullable). */
+    /** Observability: race ledger and late charges (nullable). */
     void attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;

@@ -27,7 +27,7 @@ namespace transfw::mmu {
  * balancing — that routing freedom is exactly what the replication's
  * invalidation-broadcast cost buys. The steering crossbar itself costs
  * kRouteCycles per fault, charged to the HostRoute attribution bucket
- * (the charge() funnel keeps bucket-sum == breakdown total).
+ * as one tagged crossbar hop.
  *
  * With hostShards == 1 every call is a direct pass-through to one
  * HostMmu constructed exactly as the pre-shard system built it —

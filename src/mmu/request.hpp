@@ -7,7 +7,6 @@
 #include "obs/attrib.hpp"
 #include "sim/pool.hpp"
 #include "sim/ticks.hpp"
-#include "stats/stats.hpp"
 #include "tlb/tlb.hpp"
 
 namespace transfw::mmu {
@@ -33,8 +32,8 @@ struct XlatRequest : public sim::Pooled<XlatRequest>
     sim::Tick tIssue = 0;      ///< when the L2 TLB miss entered the GMMU path
     sim::Tick tHostArrive = 0; ///< when the fault reached the host side
 
-    /** Per-component latency, accumulated as the request moves. */
-    stats::LatencyBreakdown lat;
+    /** Latency attribution buckets, accumulated as the request moves. */
+    obs::RequestLatency lat;
 
     // --- lifecycle flags ---------------------------------------------------
     bool shortCircuited = false;   ///< PRT miss skipped the local walk
@@ -55,98 +54,38 @@ struct XlatRequest : public sim::Pooled<XlatRequest>
 using XlatPtr = sim::PoolRef<XlatRequest>;
 
 /**
- * The one way components charge translation latency: updates the
- * request's LatencyBreakdown field (chosen by the bucket's fieldOf
- * mapping) and mirrors the charge into the attribution engine in the
- * same step. Because both views are fed by this single call, the
- * engine's per-request bucket sums equal the breakdown by construction
- * — which is exactly the invariant obs::Checks enforces at finish.
- *
- * @p attrib may be null (observability detached); under TRANSFW_OBS=0
- * the mirror compiles out and only the breakdown update remains.
+ * The one way components charge translation latency: adds @p cycles
+ * to the request's @p bucket. Only a charge onto a finished request (a
+ * race loser still in flight, booked late) or onto a kept timeline
+ * goes through the engine; @p attrib may be null (no engine attached).
  */
 inline void
 charge(XlatRequest &req, obs::AttributionEngine *attrib,
        obs::AttribBucket bucket, double cycles, sim::Tick now)
 {
-    switch (obs::fieldOf(bucket)) {
-      case obs::LatField::GmmuQueue:
-        req.lat.gmmuQueue += cycles;
-        break;
-      case obs::LatField::GmmuMem:
-        req.lat.gmmuMem += cycles;
-        break;
-      case obs::LatField::HostQueue:
-        req.lat.hostQueue += cycles;
-        break;
-      case obs::LatField::HostMem:
-        req.lat.hostMem += cycles;
-        break;
-      case obs::LatField::Migration:
-        req.lat.migration += cycles;
-        break;
-      case obs::LatField::Network:
-        req.lat.network += cycles;
-        break;
-      default:
-        req.lat.other += cycles;
-        break;
-    }
-#if TRANSFW_OBS
-    if (attrib)
-        attrib->charge(req.gpu, req.id, bucket, cycles, now);
-#else
-    (void)attrib;
-    (void)now;
-#endif
+    if (attrib && req.lat.needsEngine()) [[unlikely]]
+        attrib->charge(req.lat, bucket, cycles, now);
+    else
+        req.lat.add(bucket, cycles);
 }
 
 /**
  * Edge-tagged variant of charge() for interconnect traversals: the
- * breakdown update is identical (the hop's wait + ser + prop total
- * lands in the bucket's field), but the attribution mirror records
- * *which* edge the cycles came from, accumulating per-record hop sums
- * that obs::Checks proves equal the Network/HostRoute buckets. Every
- * Network and HostRoute charge site must use this form — a plain
- * charge() into those buckets alongside tagged hops trips the
- * watchdog's per-hop balance check.
+ * hop's wait + ser + prop total lands in @p bucket and in the
+ * request's per-hop sum, which obs::Checks proves equals the
+ * Network/HostRoute buckets. Every Network and HostRoute charge site
+ * must use this form — a plain charge() into those buckets alongside
+ * tagged hops trips the watchdog's per-hop balance check.
  */
 inline void
 chargeHop(XlatRequest &req, obs::AttributionEngine *attrib,
           obs::AttribBucket bucket, const obs::AttribHop &hop,
           sim::Tick now)
 {
-    double cycles = hop.total();
-    switch (obs::fieldOf(bucket)) {
-      case obs::LatField::GmmuQueue:
-        req.lat.gmmuQueue += cycles;
-        break;
-      case obs::LatField::GmmuMem:
-        req.lat.gmmuMem += cycles;
-        break;
-      case obs::LatField::HostQueue:
-        req.lat.hostQueue += cycles;
-        break;
-      case obs::LatField::HostMem:
-        req.lat.hostMem += cycles;
-        break;
-      case obs::LatField::Migration:
-        req.lat.migration += cycles;
-        break;
-      case obs::LatField::Network:
-        req.lat.network += cycles;
-        break;
-      default:
-        req.lat.other += cycles;
-        break;
-    }
-#if TRANSFW_OBS
-    if (attrib)
-        attrib->hop(req.gpu, req.id, bucket, hop, /*counted=*/true, now);
-#else
-    (void)attrib;
-    (void)now;
-#endif
+    if (attrib && req.lat.needsEngine()) [[unlikely]]
+        attrib->hop(req.lat, bucket, hop, /*counted=*/true, now);
+    else
+        req.lat.addHop(bucket, hop.total());
 }
 
 /** Allocate a fresh (default-initialised) request from this thread's pool. */

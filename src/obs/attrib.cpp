@@ -1,5 +1,8 @@
 #include "obs/attrib.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "obs/checks.hpp"
 
 namespace transfw::obs {
@@ -47,13 +50,23 @@ bucketName(AttribBucket b)
     }
 }
 
+namespace {
+
 double
-AttributionTable::bucketTotal() const
+sumBuckets(const double (&bucket)[kNumAttribBuckets])
 {
     double sum = 0;
     for (double b : bucket)
         sum += b;
     return sum;
+}
+
+} // namespace
+
+double
+AttributionTable::bucketTotal() const
+{
+    return sumBuckets(bucket);
 }
 
 double
@@ -66,412 +79,216 @@ AttributionTable::fieldTotal(LatField field) const
     return sum;
 }
 
-#if TRANSFW_OBS
-
-void
-AttributionEngine::setEnabled(bool on)
+double
+RequestLatency::total() const
 {
-    enabled_ = on;
+    return sumBuckets(bucket);
 }
 
 void
-AttributionEngine::setKeepTimelines(bool on)
+AttributionEngine::openTimeline(RequestLatency &lat, int gpu,
+                                std::uint64_t id, std::uint64_t vpn,
+                                sim::Tick now)
 {
-    keepTimelines_ = on;
-}
-
-AttributionEngine::Record *
-AttributionEngine::lookup(int gpu, std::uint64_t id)
-{
-    auto it = live_.find(key(gpu, id));
-    return it == live_.end() ? nullptr : &it->second;
+    Timeline &tl = timelines_[key(gpu, id)];
+    tl = Timeline{};
+    tl.vpn = vpn;
+    tl.tIssue = now;
+    lat.timeline = &tl;
 }
 
 void
-AttributionEngine::note(Record &rec, sim::Tick tick,
+AttributionEngine::note(RequestLatency &lat, sim::Tick tick,
                         AttribEvent::Kind kind, AttribBucket bucket,
                         double cycles)
 {
-    if (!keepTimelines_)
+    if (!lat.timeline)
         return;
     AttribEvent ev;
     ev.tick = tick;
     ev.kind = kind;
     ev.bucket = bucket;
     ev.cycles = cycles;
-    rec.tl.events.push_back(ev);
+    lat.timeline->events.push_back(ev);
 }
 
 void
-AttributionEngine::maybeRelease(int gpu, std::uint64_t id, Record &rec)
+AttributionEngine::closeRace(RequestLatency &lat)
 {
-    // A record stays live while it can still receive events: before
-    // finish (charges), while a race awaits the remote reply (Open) or
-    // the losing host walk's report (RemoteWon).
-    if (!rec.finished || rec.race != Record::Race::None || keepTimelines_)
-        return;
-    live_.erase(key(gpu, id));
+    lat.race = RequestLatency::Race::None;
+    --openRaces_;
 }
 
 void
-AttributionEngine::begin(int gpu, std::uint64_t id, std::uint64_t vpn,
-                         sim::Tick now)
-{
-    if (!enabled_)
-        return;
-    Record rec;
-    rec.tl.vpn = vpn;
-    rec.tl.tIssue = now;
-    live_.insert_or_assign(key(gpu, id), std::move(rec));
-}
-
-void
-AttributionEngine::charge(int gpu, std::uint64_t id, AttribBucket bucket,
+AttributionEngine::charge(RequestLatency &lat, AttribBucket bucket,
                           double cycles, sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    if (rec->finished) {
+    note(lat, now, AttribEvent::Kind::Charge, bucket, cycles);
+    if (lat.finished) {
         // Race loser still in flight after first-reply-wins resolved
         // the request: off the critical path, so ledger-only.
         ++table_.lateCharges;
         table_.lateCycles += cycles;
-        note(*rec, now, AttribEvent::Kind::Charge, bucket, cycles);
         return;
     }
-    rec->tl.bucket[static_cast<std::size_t>(bucket)] += cycles;
-    note(*rec, now, AttribEvent::Kind::Charge, bucket, cycles);
+    lat.add(bucket, cycles);
 }
 
 void
-AttributionEngine::noteHop(Record &rec, sim::Tick tick,
-                           AttribBucket bucket, const AttribHop &h)
-{
-    if (!keepTimelines_)
-        return;
-    AttribEvent ev;
-    ev.tick = tick;
-    ev.kind = AttribEvent::Kind::NetworkHop;
-    ev.bucket = bucket;
-    ev.cycles = h.total();
-    ev.hopFrom = h.from;
-    ev.hopTo = h.to;
-    ev.hopWait = static_cast<float>(h.wait);
-    ev.hopSer = static_cast<float>(h.ser);
-    ev.hopProp = static_cast<float>(h.prop);
-    rec.tl.events.push_back(ev);
-}
-
-void
-AttributionEngine::hop(int gpu, std::uint64_t id, AttribBucket bucket,
+AttributionEngine::hop(RequestLatency &lat, AttribBucket bucket,
                        const AttribHop &h, bool counted, sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    double cycles = h.total();
-    if (counted) {
-        if (rec->finished) {
-            // Same quarantine as charge(): race losers still in flight
-            // stay off the critical-path buckets (and the hop sums, so
-            // the two sides of the invariant move together).
-            ++table_.lateCharges;
-            table_.lateCycles += cycles;
-            noteHop(*rec, now, bucket, h);
-            return;
-        }
-        rec->tl.bucket[static_cast<std::size_t>(bucket)] += cycles;
-        rec->tl.sawCountedHop = true;
-        if (bucket == AttribBucket::Network)
-            rec->tl.netHopCycles += cycles;
-        else if (bucket == AttribBucket::HostRoute)
-            rec->tl.routeHopCycles += cycles;
+    if (lat.timeline) {
+        AttribEvent ev;
+        ev.tick = now;
+        ev.kind = AttribEvent::Kind::NetworkHop;
+        ev.bucket = bucket;
+        ev.cycles = h.total();
+        ev.hopFrom = h.from;
+        ev.hopTo = h.to;
+        ev.hopWait = static_cast<float>(h.wait);
+        ev.hopSer = static_cast<float>(h.ser);
+        ev.hopProp = static_cast<float>(h.prop);
+        lat.timeline->events.push_back(ev);
     }
-    noteHop(*rec, now, bucket, h);
+    if (!counted)
+        return;
+    if (lat.finished) {
+        // Same quarantine as charge(): race losers still in flight
+        // stay off the critical-path buckets (and the hop sums, so
+        // the two sides of the invariant move together).
+        ++table_.lateCharges;
+        table_.lateCycles += h.total();
+        return;
+    }
+    lat.addHop(bucket, h.total());
 }
 
 void
-AttributionEngine::shortCircuited(int gpu, std::uint64_t id,
-                                  double est_saved, sim::Tick now)
+AttributionEngine::shortCircuited(RequestLatency &lat, double est_saved,
+                                  sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    rec->shortCircuit = true;
     ++table_.shortCircuits;
     table_.shortCircuitSavedEstCycles += est_saved;
-    note(*rec, now, AttribEvent::Kind::ShortCircuit,
+    note(lat, now, AttribEvent::Kind::ShortCircuit,
          AttribBucket::PrtLookup, est_saved);
 }
 
 void
-AttributionEngine::forwardLaunched(int gpu, std::uint64_t id,
-                                   sim::Tick now)
+AttributionEngine::forwardLaunched(RequestLatency &lat, sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    rec->race = Record::Race::Open;
-    rec->tForward = now;
+    if (lat.race == RequestLatency::Race::None)
+        ++openRaces_;
+    lat.race = RequestLatency::Race::Open;
+    lat.tForward = now;
     ++table_.forwards;
-    note(*rec, now, AttribEvent::Kind::ForwardLaunched,
-         AttribBucket::Other, 0);
+    note(lat, now, AttribEvent::Kind::ForwardLaunched, AttribBucket::Other,
+         0);
 }
 
 void
-AttributionEngine::forwardOutcome(int gpu, std::uint64_t id, bool success,
+AttributionEngine::forwardOutcome(RequestLatency &lat, bool success,
                                   bool won, double est_saved,
                                   sim::Tick now)
 {
-    if (!enabled_)
+    if (lat.race != RequestLatency::Race::Open)
         return;
-    Record *rec = lookup(gpu, id);
-    if (!rec || rec->race != Record::Race::Open)
-        return;
-    double remote_service = static_cast<double>(now - rec->tForward);
+    double remote_service = static_cast<double>(now - lat.tForward);
     if (!success) {
         ++table_.failedForwards;
         table_.forwardWastedCycles += remote_service;
-        rec->race = Record::Race::None;
-        note(*rec, now, AttribEvent::Kind::ForwardFailed,
+        closeRace(lat);
+        note(lat, now, AttribEvent::Kind::ForwardFailed,
              AttribBucket::Other, remote_service);
     } else if (won) {
         ++table_.remoteWins;
         table_.forwardSavedEstCycles += est_saved;
-        rec->tWin = now;
+        lat.tWin = now;
         // Driver forwards have no parallel walk racing them: the win
         // closes the race outright. Hardware forwards stay open until
         // the losing host walk reports back (duplicate or cancelled),
         // which is when the measured saving becomes known.
-        rec->race = est_saved > 0 ? Record::Race::None
-                                  : Record::Race::RemoteWon;
-        note(*rec, now, AttribEvent::Kind::RemoteWon, AttribBucket::Other,
+        if (est_saved > 0)
+            closeRace(lat);
+        else
+            lat.race = RequestLatency::Race::RemoteWon;
+        note(lat, now, AttribEvent::Kind::RemoteWon, AttribBucket::Other,
              est_saved);
     } else {
         // The host walk already resolved the request: this forward's
         // remote service bought nothing.
         ++table_.hostWins;
         table_.forwardWastedCycles += remote_service;
-        rec->race = Record::Race::None;
-        note(*rec, now, AttribEvent::Kind::HostWon, AttribBucket::Other,
+        closeRace(lat);
+        note(lat, now, AttribEvent::Kind::HostWon, AttribBucket::Other,
              remote_service);
     }
-    maybeRelease(gpu, id, *rec);
 }
 
 void
-AttributionEngine::hostWalkDone(int gpu, std::uint64_t id, bool duplicate,
+AttributionEngine::hostWalkDone(RequestLatency &lat, bool duplicate,
                                 sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    if (duplicate && rec->race == Record::Race::RemoteWon) {
+    if (duplicate && lat.race == RequestLatency::Race::RemoteWon) {
         // The loser just crossed the finish line: the forward saved
         // exactly the tail the host walk still needed after the win.
+        double saved = static_cast<double>(now - lat.tWin);
         ++table_.duplicateHostWalks;
-        table_.forwardSavedCycles += static_cast<double>(now - rec->tWin);
-        rec->race = Record::Race::None;
-        note(*rec, now, AttribEvent::Kind::DuplicateHostWalk,
-             AttribBucket::Other, static_cast<double>(now - rec->tWin));
-        maybeRelease(gpu, id, *rec);
+        table_.forwardSavedCycles += saved;
+        closeRace(lat);
+        note(lat, now, AttribEvent::Kind::DuplicateHostWalk,
+             AttribBucket::Other, saved);
     }
 }
 
 void
-AttributionEngine::hostWalkCancelled(int gpu, std::uint64_t id,
-                                     double est_walk, sim::Tick now)
+AttributionEngine::hostWalkCancelled(RequestLatency &lat, double est_walk,
+                                     sim::Tick now)
 {
-    if (!enabled_)
-        return;
-    Record *rec = lookup(gpu, id);
-    if (!rec)
-        return;
-    if (rec->race == Record::Race::RemoteWon) {
+    if (lat.race == RequestLatency::Race::RemoteWon) {
         // The loser never even started; estimate the walk it skipped.
         ++table_.cancelledHostWalks;
         table_.forwardSavedEstCycles += est_walk;
-        rec->race = Record::Race::None;
-        note(*rec, now, AttribEvent::Kind::HostWalkCancelled,
+        closeRace(lat);
+        note(lat, now, AttribEvent::Kind::HostWalkCancelled,
              AttribBucket::Other, est_walk);
-        maybeRelease(gpu, id, *rec);
     }
 }
 
 void
-AttributionEngine::finish(int gpu, std::uint64_t id,
-                          const stats::LatencyBreakdown &lat,
+AttributionEngine::finish(RequestLatency &lat, int gpu, std::uint64_t id,
                           bool short_circuit, sim::Tick now)
 {
-    if (!enabled_)
+    if (lat.finished)
         return;
-    Record *rec = lookup(gpu, id);
-    if (!rec || rec->finished)
-        return;
-    rec->finished = true;
-    rec->tl.tFinish = now;
-    rec->tl.total = lat.total();
-    rec->shortCircuit = rec->shortCircuit || short_circuit;
-    note(*rec, now, AttribEvent::Kind::Finish, AttribBucket::Other,
-         lat.total());
+    lat.finished = true;
+    double total = lat.total();
+    if (Timeline *tl = lat.timeline) {
+        tl->tFinish = now;
+        std::copy(std::begin(lat.bucket), std::end(lat.bucket),
+                  std::begin(tl->bucket));
+    }
+    note(lat, now, AttribEvent::Kind::Finish, AttribBucket::Other, total);
 
     ++table_.requests;
     for (std::size_t i = 0; i < kNumAttribBuckets; ++i)
-        table_.bucket[i] += rec->tl.bucket[i];
+        table_.bucket[i] += lat.bucket[i];
 
-    if (rec->tl.total > slowestWall_) {
-        slowestWall_ = rec->tl.total;
+    if (total > slowestWall_) {
+        slowestWall_ = total;
         slowestGpu_ = gpu;
         slowestId_ = id;
     }
 
     if (checks_)
-        checks_->onFinish(gpu, id, rec->tl, rec->shortCircuit, lat);
-
-    maybeRelease(gpu, id, *rec);
+        checks_->onFinish(gpu, id, lat, short_circuit);
 }
 
-void
-AttributionEngine::finalize()
-{
-    if (!enabled_)
-        return;
-    for (const auto &[k, rec] : live_) {
-        (void)k;
-        if (rec.race == Record::Race::Open ||
-            rec.race == Record::Race::RemoteWon)
-            ++table_.unresolvedRaces;
-    }
-}
-
-const AttributionEngine::Timeline *
+const Timeline *
 AttributionEngine::timeline(int gpu, std::uint64_t id) const
 {
-    const Record *rec =
-        const_cast<AttributionEngine *>(this)->lookup(gpu, id);
-    return rec ? &rec->tl : nullptr;
+    auto it = timelines_.find(key(gpu, id));
+    return it == timelines_.end() ? nullptr : &it->second;
 }
-
-std::pair<int, std::uint64_t>
-AttributionEngine::slowestRequest() const
-{
-    return {slowestGpu_, slowestId_};
-}
-
-#else // !TRANSFW_OBS
-
-void
-AttributionEngine::setEnabled(bool)
-{
-}
-
-void
-AttributionEngine::setKeepTimelines(bool)
-{
-}
-
-void
-AttributionEngine::begin(int, std::uint64_t, std::uint64_t, sim::Tick)
-{
-}
-
-void
-AttributionEngine::charge(int, std::uint64_t, AttribBucket, double,
-                          sim::Tick)
-{
-}
-
-void
-AttributionEngine::hop(int, std::uint64_t, AttribBucket,
-                       const AttribHop &, bool, sim::Tick)
-{
-}
-
-void
-AttributionEngine::shortCircuited(int, std::uint64_t, double, sim::Tick)
-{
-}
-
-void
-AttributionEngine::forwardLaunched(int, std::uint64_t, sim::Tick)
-{
-}
-
-void
-AttributionEngine::forwardOutcome(int, std::uint64_t, bool, bool, double,
-                                  sim::Tick)
-{
-}
-
-void
-AttributionEngine::hostWalkDone(int, std::uint64_t, bool, sim::Tick)
-{
-}
-
-void
-AttributionEngine::hostWalkCancelled(int, std::uint64_t, double,
-                                     sim::Tick)
-{
-}
-
-void
-AttributionEngine::finish(int, std::uint64_t,
-                          const stats::LatencyBreakdown &, bool,
-                          sim::Tick)
-{
-}
-
-void
-AttributionEngine::finalize()
-{
-}
-
-const AttributionEngine::Timeline *
-AttributionEngine::timeline(int, std::uint64_t) const
-{
-    return nullptr;
-}
-
-std::pair<int, std::uint64_t>
-AttributionEngine::slowestRequest() const
-{
-    return {-1, 0};
-}
-
-AttributionEngine::Record *
-AttributionEngine::lookup(int, std::uint64_t)
-{
-    return nullptr;
-}
-
-void
-AttributionEngine::note(Record &, sim::Tick, AttribEvent::Kind,
-                        AttribBucket, double)
-{
-}
-
-void
-AttributionEngine::noteHop(Record &, sim::Tick, AttribBucket,
-                           const AttribHop &)
-{
-}
-
-void
-AttributionEngine::maybeRelease(int, std::uint64_t, Record &)
-{
-}
-
-#endif // TRANSFW_OBS
 
 } // namespace transfw::obs

@@ -1,14 +1,13 @@
 #ifndef TRANSFW_OBS_ATTRIB_HPP
 #define TRANSFW_OBS_ATTRIB_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "obs/span.hpp" // TRANSFW_OBS master switch
-#include "sim/flat_map.hpp"
 #include "sim/ticks.hpp"
-#include "stats/stats.hpp"
 
 namespace transfw::obs {
 
@@ -16,14 +15,10 @@ class Checks;
 
 /**
  * Exhaustive, mutually-exclusive latency buckets for one translation.
- * Every cycle a request accumulates in its stats::LatencyBreakdown is
- * charged to exactly one bucket; the buckets refine the seven coarse
- * breakdown fields (Fig. 3) down to the individual mechanism, so the
- * report can show *which* penalty each Trans-FW path removes.
- *
- * The bucket -> field mapping (fieldOf) is the contract the invariant
- * watchdog enforces: summing an engine record's buckets grouped by
- * field must reproduce the request's LatencyBreakdown exactly.
+ * Every cycle charged to a request lands in exactly one bucket; the
+ * buckets refine the seven coarse Fig. 3 components (LatField) down
+ * to the individual mechanism, so the report can show *which* penalty
+ * each Trans-FW path removes.
  */
 enum class AttribBucket : std::uint8_t
 {
@@ -51,7 +46,12 @@ enum class AttribBucket : std::uint8_t
 constexpr std::size_t kNumAttribBuckets =
     static_cast<std::size_t>(AttribBucket::kCount);
 
-/** Which LatencyBreakdown field a bucket refines. */
+/**
+ * The coarse Fig. 3 / Fig. 12 component a bucket refines. The seven
+ * components are never stored: AttributionTable::fieldTotal() sums
+ * their buckets, which is exact because every charge is a whole
+ * number of cycles.
+ */
 enum class LatField : std::uint8_t
 {
     GmmuQueue,
@@ -134,7 +134,7 @@ struct AttributionTable
     double lateCycles = 0;
 
     double bucketTotal() const;
-    /** Sum of the buckets mapping onto @p field. */
+    /** Sum of the buckets mapping onto @p field (one Fig. 3 column). */
     double fieldTotal(LatField field) const;
 };
 
@@ -182,133 +182,174 @@ struct AttribEvent
     float hopProp = 0;
 };
 
+/** One request's causal timeline (AttributionEngine keepTimelines). */
+struct Timeline
+{
+    std::uint64_t vpn = 0;
+    sim::Tick tIssue = 0;
+    sim::Tick tFinish = 0;
+    double bucket[kNumAttribBuckets] = {}; ///< bucket sums at finish
+    std::vector<AttribEvent> events;
+};
+
 /**
- * Per-request latency-attribution engine. Components report every
- * LatencyBreakdown charge through mmu::charge(), which updates the
- * request's breakdown and this engine's per-request record in one
- * step — the bucket sums therefore equal the breakdown by
- * construction, and obs::Checks verifies that at finish time.
+ * The one stored form of a translation's latency, carried by every
+ * mmu::XlatRequest: its bucket sums, the share of them that arrived as
+ * counted per-hop charges, and its reply-race state. mmu::charge() and
+ * mmu::chargeHop() add to it in place; AttributionEngine::finish()
+ * folds it into the run's AttributionTable.
+ */
+struct RequestLatency
+{
+    /** Reply race (Section IV-C): open from the forward until the
+     *  remote reply, and after a hardware-path win until the losing
+     *  host walk reports back. */
+    enum class Race : std::uint8_t
+    {
+        None,
+        Open,
+        RemoteWon,
+    };
+
+    double bucket[kNumAttribBuckets] = {};
+    /** Network / HostRoute cycles that arrived via counted hops; the
+     *  watchdog proves they equal the buckets themselves. */
+    double netHopCycles = 0;
+    double routeHopCycles = 0;
+    /** Kept timeline (AttributionEngine keepTimelines), else null. */
+    Timeline *timeline = nullptr;
+    sim::Tick tForward = 0; ///< launch of the open race's forward
+    sim::Tick tWin = 0;     ///< when the remote reply won
+    Race race = Race::None;
+    bool sawCountedHop = false;
+    bool finished = false;
+
+    /** Late and timeline-traced charges take the engine's path; every
+     *  other charge is a plain add. */
+    bool needsEngine() const { return finished || timeline; }
+
+    void
+    add(AttribBucket b, double cycles)
+    {
+        bucket[static_cast<std::size_t>(b)] += cycles;
+    }
+
+    /** A counted hop: the bucket charge plus its per-hop sum. */
+    void
+    addHop(AttribBucket b, double cycles)
+    {
+        add(b, cycles);
+        sawCountedHop = true;
+        if (b == AttribBucket::Network)
+            netHopCycles += cycles;
+        else if (b == AttribBucket::HostRoute)
+            routeHopCycles += cycles;
+    }
+
+    double total() const;
+};
+
+/**
+ * Run-wide latency attribution. Per-request state lives in each
+ * request's RequestLatency; the engine handles what a plain add
+ * cannot: charges that arrive after finish (race losers, booked as
+ * late), the reply-race ledger, folding finished requests into the
+ * table, and — only when asked — per-request timelines.
  *
  * Purely observational: the engine never schedules events or touches
- * request state, so simulated timing is identical with it on or off.
- * Compiled out entirely under TRANSFW_OBS=0, like SpanRecorder.
+ * simulated state, so simulated timing is identical whether or not
+ * timelines are kept.
  */
 class AttributionEngine
 {
   public:
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on);
-
-    /** Retain per-request timelines (explain_request). Off by default:
-     *  records are released as soon as their race closes. */
-    void setKeepTimelines(bool on);
+    /** Retain per-request timelines (explain_request). Off by default;
+     *  set before the run, because it only affects requests begun
+     *  afterwards. */
+    void setKeepTimelines(bool on) { keepTimelines_ = on; }
     bool keepTimelines() const { return keepTimelines_; }
 
     /** Watchdog consulted at finish() (nullable). */
     void attachChecks(Checks *checks) { checks_ = checks; }
 
     // --- lifecycle (called from the components) ---------------------------
-    void begin(int gpu, std::uint64_t id, std::uint64_t vpn,
-               sim::Tick now);
-    void charge(int gpu, std::uint64_t id, AttribBucket bucket,
-                double cycles, sim::Tick now);
+    /** A translation entered the GMMU path; opens its timeline when
+     *  timelines are kept. */
+    void
+    begin(RequestLatency &lat, int gpu, std::uint64_t id,
+          std::uint64_t vpn, sim::Tick now)
+    {
+        if (keepTimelines_)
+            openTimeline(lat, gpu, id, vpn, now);
+    }
+    /** A charge onto a finished request (booked late, off the table)
+     *  or a traced one (also noted on its timeline). */
+    void charge(RequestLatency &lat, AttribBucket bucket, double cycles,
+                sim::Tick now);
     /**
      * One traversed edge of a routed message carrying this request.
      * When @p counted is true this *is* the charge — the hop's total
-     * lands in @p bucket exactly like charge(), and additionally
-     * accumulates into the record's per-hop sum so the watchdog can
-     * prove sum-of-edges == bucket. When false the hop is
-     * timeline-only (e.g. migration payload hops, which stay charged
-     * as one Migration lump).
+     * lands in @p bucket and in the request's per-hop sum, exactly as
+     * mmu::chargeHop() adds it. When false the hop is timeline-only
+     * (migration payload hops, which stay charged as one Migration
+     * lump).
      */
-    void hop(int gpu, std::uint64_t id, AttribBucket bucket,
-             const AttribHop &h, bool counted, sim::Tick now);
-    void shortCircuited(int gpu, std::uint64_t id, double est_saved,
+    void hop(RequestLatency &lat, AttribBucket bucket, const AttribHop &h,
+             bool counted, sim::Tick now);
+    void shortCircuited(RequestLatency &lat, double est_saved,
                         sim::Tick now);
-    void forwardLaunched(int gpu, std::uint64_t id,
-                         sim::Tick now);
+    void forwardLaunched(RequestLatency &lat, sim::Tick now);
     /** Remote reply arrived. @p won: it beat the host walk. @p est_saved
      *  is the avoided-walk estimate for paths with no measurable loser
      *  (driver forwards); 0 on the hardware path. */
-    void forwardOutcome(int gpu, std::uint64_t id, bool success,
-                        bool won, double est_saved,
-                        sim::Tick now);
+    void forwardOutcome(RequestLatency &lat, bool success, bool won,
+                        double est_saved, sim::Tick now);
     /** Host walk completed. @p duplicate: the remote reply had already
      *  resolved the request (this walk was the race loser). */
-    void hostWalkDone(int gpu, std::uint64_t id, bool duplicate,
-                      sim::Tick now);
+    void hostWalkDone(RequestLatency &lat, bool duplicate, sim::Tick now);
     /** The losing host walk was pulled from the PW-queue before it
      *  started; @p est_walk estimates the walk it avoided. */
-    void hostWalkCancelled(int gpu, std::uint64_t id, double est_walk,
+    void hostWalkCancelled(RequestLatency &lat, double est_walk,
                            sim::Tick now);
-    void finish(int gpu, std::uint64_t id,
-                const stats::LatencyBreakdown &lat, bool short_circuit,
-                sim::Tick now);
+    /** Fold a finished request into the table and run the watchdog;
+     *  later charges to it are late. */
+    void finish(RequestLatency &lat, int gpu, std::uint64_t id,
+                bool short_circuit, sim::Tick now);
 
     /** Count still-open races; call once after the event queue drains. */
-    void finalize();
+    void finalize() { table_.unresolvedRaces = openRaces_; }
 
     const AttributionTable &table() const { return table_; }
 
-    /** Requests currently tracked (unfinished or open-race). */
-    std::size_t liveRequests() const { return live_.size(); }
-
     // --- timeline access (keepTimelines mode) ------------------------------
-    struct Timeline
-    {
-        std::uint64_t vpn = 0;
-        sim::Tick tIssue = 0;
-        sim::Tick tFinish = 0;
-        double total = 0; ///< LatencyBreakdown::total() at finish
-        double bucket[kNumAttribBuckets] = {};
-        /** Cycles that arrived via counted hops, split by bucket — the
-         *  watchdog proves these equal the buckets themselves. */
-        double netHopCycles = 0;
-        double routeHopCycles = 0;
-        bool sawCountedHop = false;
-        std::vector<AttribEvent> events;
-    };
-
     /** Timeline of one request, or nullptr (unknown / not kept). */
     const Timeline *timeline(int gpu, std::uint64_t id) const;
     /** (gpu, id) of the slowest finished request; gpu < 0 when none. */
-    std::pair<int, std::uint64_t> slowestRequest() const;
+    std::pair<int, std::uint64_t>
+    slowestRequest() const
+    {
+        return {slowestGpu_, slowestId_};
+    }
 
   private:
-    struct Record
-    {
-        Timeline tl;
-        enum class Race : std::uint8_t
-        {
-            None,
-            Open,
-            RemoteWon,
-        } race = Race::None;
-        sim::Tick tForward = 0;
-        sim::Tick tWin = 0;
-        bool finished = false;
-        bool shortCircuit = false;
-    };
-
     static std::uint64_t
     key(int gpu, std::uint64_t id)
     {
         return (static_cast<std::uint64_t>(gpu + 1) << 48) | id;
     }
 
-    Record *lookup(int gpu, std::uint64_t id);
-    void note(Record &rec, sim::Tick tick, AttribEvent::Kind kind,
+    void openTimeline(RequestLatency &lat, int gpu, std::uint64_t id,
+                      std::uint64_t vpn, sim::Tick now);
+    void note(RequestLatency &lat, sim::Tick tick, AttribEvent::Kind kind,
               AttribBucket bucket, double cycles);
-    void noteHop(Record &rec, sim::Tick tick, AttribBucket bucket,
-                 const AttribHop &h);
-    /** Drop the record once it can no longer receive events. */
-    void maybeRelease(int gpu, std::uint64_t id, Record &rec);
+    void closeRace(RequestLatency &lat);
 
-    bool enabled_ = false;
     bool keepTimelines_ = false;
     Checks *checks_ = nullptr;
     AttributionTable table_;
-    sim::FlatMap<std::uint64_t, Record> live_;
+    std::uint64_t openRaces_ = 0;
+    /** Node-based so RequestLatency::timeline stays valid. */
+    std::unordered_map<std::uint64_t, Timeline> timelines_;
     double slowestWall_ = -1.0;
     int slowestGpu_ = -1;
     std::uint64_t slowestId_ = 0;

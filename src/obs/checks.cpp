@@ -38,83 +38,35 @@ Checks::violation(const std::string &msg)
 }
 
 void
-Checks::onFinish(int gpu, std::uint64_t id,
-                 const AttributionEngine::Timeline &tl, bool short_circuit,
-                 const stats::LatencyBreakdown &lat)
+Checks::onFinish(int gpu, std::uint64_t id, const RequestLatency &lat,
+                 bool short_circuit)
 {
-    if (sampleMask_ != 0 && (id & sampleMask_) != 0)
-        return;
     ++checked_;
-
-    // Exhaustive + mutually exclusive: the buckets partition the
-    // breakdown, so their sum must reproduce total() within one tick.
     constexpr double kTol = 1.0;
-    double bucket_sum = 0;
-    for (double b : tl.bucket)
-        bucket_sum += b;
-    if (std::abs(bucket_sum - lat.total()) > kTol) {
-        violation(sim::strfmt(
-            "gpu%d req %llu vpn 0x%llx: bucket sum %.1f != breakdown "
-            "total %.1f",
-            gpu, static_cast<unsigned long long>(id),
-            static_cast<unsigned long long>(tl.vpn), bucket_sum,
-            lat.total()));
-        return;
-    }
-
-    // Classification: each bucket family must sum to its breakdown
-    // field, not merely balance in aggregate.
-    const struct
-    {
-        LatField field;
-        double expect;
-        const char *name;
-    } fields[] = {
-        {LatField::GmmuQueue, lat.gmmuQueue, "gmmuQueue"},
-        {LatField::GmmuMem, lat.gmmuMem, "gmmuMem"},
-        {LatField::HostQueue, lat.hostQueue, "hostQueue"},
-        {LatField::HostMem, lat.hostMem, "hostMem"},
-        {LatField::Migration, lat.migration, "migration"},
-        {LatField::Network, lat.network, "network"},
-        {LatField::Other, lat.other, "other"},
-    };
-    for (const auto &f : fields) {
-        double got = 0;
-        for (std::size_t i = 0; i < kNumAttribBuckets; ++i)
-            if (fieldOf(static_cast<AttribBucket>(i)) == f.field)
-                got += tl.bucket[i];
-        if (std::abs(got - f.expect) > kTol) {
-            violation(sim::strfmt(
-                "gpu%d req %llu: %s buckets %.1f != breakdown field %.1f",
-                gpu, static_cast<unsigned long long>(id), f.name, got,
-                f.expect));
-            return;
-        }
-    }
 
     // Per-hop attribution: once any counted hop touched this record,
     // every Network/HostRoute cycle must have arrived edge-tagged, so
     // the buckets equal their per-edge sums — sum-of-edges == bucket
     // by construction, and a call site that slips a plain charge into
     // either bucket breaks the balance and fires here.
-    if (tl.sawCountedHop) {
+    if (lat.sawCountedHop) {
         double net =
-            tl.bucket[static_cast<std::size_t>(AttribBucket::Network)];
+            lat.bucket[static_cast<std::size_t>(AttribBucket::Network)];
         double route =
-            tl.bucket[static_cast<std::size_t>(AttribBucket::HostRoute)];
-        if (std::abs(net - tl.netHopCycles) > kTol) {
+            lat.bucket[static_cast<std::size_t>(AttribBucket::HostRoute)];
+        if (std::abs(net - lat.netHopCycles) > kTol) {
             violation(sim::strfmt(
                 "gpu%d req %llu: network bucket %.1f != per-hop sum %.1f",
                 gpu, static_cast<unsigned long long>(id), net,
-                tl.netHopCycles));
+                lat.netHopCycles));
             return;
         }
-        if (std::abs(route - tl.routeHopCycles) > kTol) {
+        if (std::abs(route - lat.routeHopCycles) > kTol) {
             violation(sim::strfmt(
                 "gpu%d req %llu: hostRoute bucket %.1f != per-hop sum "
                 "%.1f",
                 gpu, static_cast<unsigned long long>(id), route,
-                tl.routeHopCycles));
+                lat.routeHopCycles));
             return;
         }
     }
@@ -123,9 +75,9 @@ Checks::onFinish(int gpu, std::uint64_t id,
     // local-queue or local-walk cycles may have been charged.
     if (short_circuit) {
         double local =
-            tl.bucket[static_cast<std::size_t>(AttribBucket::L2TlbQueue)] +
-            tl.bucket[static_cast<std::size_t>(AttribBucket::GmmuQueue)] +
-            tl.bucket[static_cast<std::size_t>(AttribBucket::GmmuWalkMem)];
+            lat.bucket[static_cast<std::size_t>(AttribBucket::L2TlbQueue)] +
+            lat.bucket[static_cast<std::size_t>(AttribBucket::GmmuQueue)] +
+            lat.bucket[static_cast<std::size_t>(AttribBucket::GmmuWalkMem)];
         if (local > 0) {
             violation(sim::strfmt(
                 "gpu%d req %llu: PRT short circuit but %.1f local-walk "

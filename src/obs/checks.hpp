@@ -7,7 +7,6 @@
 
 #include "obs/attrib.hpp"
 #include "obs/span.hpp"
-#include "stats/stats.hpp"
 
 #ifndef TRANSFW_OBS_STRICT
 #define TRANSFW_OBS_STRICT 0
@@ -16,21 +15,14 @@
 namespace transfw::obs {
 
 /**
- * Invariant watchdog over the attribution instrumentation. The
- * attribution engine mirrors every LatencyBreakdown charge, which
- * makes the mirror itself a correctness oracle: if a component ever
- * charges a request without going through mmu::charge() (or charges
- * the wrong bucket family), the per-request cross-check below fires.
+ * Invariant watchdog over the attribution instrumentation.
  *
- * Checked per finished request (subject to sampleMask):
- *   1. bucket sums == LatencyBreakdown::total() within one tick;
- *   2. per-field grouped sums match each breakdown field (so buckets
- *      are not just exhaustive but correctly classified);
- *   3. per-hop balance: when the request's interconnect cycles arrived
+ * Checked per finished request:
+ *   1. per-hop balance: when the request's interconnect cycles arrived
  *      via edge-tagged hops, the Network and HostRoute buckets must
  *      equal the sums of their traversed edges (sum-of-edges ==
  *      bucket — a plain charge sneaking into either bucket fires);
- *   4. PRT-negative short circuit => no local walk or local-queue
+ *   2. PRT-negative short circuit => no local walk or local-queue
  *      cycles were charged (the walk really was skipped).
  *
  * Plus a post-run structural pass, verifySpanNesting(): within each
@@ -46,11 +38,6 @@ namespace transfw::obs {
 class Checks
 {
   public:
-    /** Check requests whose id survives `id & mask == 0`; 0 = all.
-     *  Mask must be a power of two minus one. */
-    void setSampleMask(std::uint64_t mask) { sampleMask_ = mask; }
-    std::uint64_t sampleMask() const { return sampleMask_; }
-
     void
     clear()
     {
@@ -65,9 +52,8 @@ class Checks
     const std::vector<std::string> &messages() const { return messages_; }
 
     /** Per-request invariants; called by AttributionEngine::finish. */
-    void onFinish(int gpu, std::uint64_t id,
-                  const AttributionEngine::Timeline &tl,
-                  bool short_circuit, const stats::LatencyBreakdown &lat);
+    void onFinish(int gpu, std::uint64_t id, const RequestLatency &lat,
+                  bool short_circuit);
 
     /**
      * Post-run structural pass over the recorded spans: every span in
@@ -80,7 +66,6 @@ class Checks
   private:
     void violation(const std::string &msg);
 
-    std::uint64_t sampleMask_ = 0;
     std::uint64_t violations_ = 0;
     std::uint64_t checked_ = 0;
     std::vector<std::string> messages_;

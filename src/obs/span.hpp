@@ -34,8 +34,9 @@ struct Span
     std::uint64_t tid = 0;  ///< thread track: request id within the GPU
     std::uint64_t vpn = 0;  ///< faulting page (0 when not applicable)
     /** Optional numeric arg (< 0 = absent). The "xlat" root span
-     *  carries the request's LatencyBreakdown::total() here so traces
-     *  are self-checking: dur must equal this within one tick. */
+     *  carries the request's charged total (RequestLatency::total())
+     *  here so traces are self-checking: dur must equal this within
+     *  one tick. */
     double arg = -1.0;
 };
 

@@ -43,19 +43,6 @@ BucketHistogram::fraction(std::size_t i) const
     return t ? static_cast<double>(bucket(i)) / static_cast<double>(t) : 0.0;
 }
 
-LatencyBreakdown &
-LatencyBreakdown::operator+=(const LatencyBreakdown &o)
-{
-    gmmuQueue += o.gmmuQueue;
-    gmmuMem += o.gmmuMem;
-    hostQueue += o.hostQueue;
-    hostMem += o.hostMem;
-    migration += o.migration;
-    network += o.network;
-    other += o.other;
-    return *this;
-}
-
 double
 Registry::get(const std::string &name) const
 {

@@ -88,29 +88,6 @@ class BucketHistogram
 };
 
 /**
- * Accumulator for the per-request latency components the paper breaks
- * L2-TLB-miss latency into (Fig. 3 / Fig. 12). Values are summed ticks.
- */
-struct LatencyBreakdown
-{
-    double gmmuQueue = 0;   ///< waiting in the GMMU PW-queue
-    double gmmuMem = 0;     ///< GMMU walk memory accesses (PW-cache misses)
-    double hostQueue = 0;   ///< waiting in the host MMU PW-queue
-    double hostMem = 0;     ///< host MMU walk memory accesses
-    double migration = 0;   ///< page data transfer during far faults
-    double network = 0;     ///< CPU-GPU / GPU-GPU interconnect + replay
-    double other = 0;       ///< fixed lookup latencies, fault bookkeeping
-
-    double total() const
-    {
-        return gmmuQueue + gmmuMem + hostQueue + hostMem + migration +
-               network + other;
-    }
-
-    LatencyBreakdown &operator+=(const LatencyBreakdown &o);
-};
-
-/**
  * Named scalar export table. Components register their headline numbers
  * here so examples can dump a full stats report; benches read typed
  * fields from SimResults directly instead.

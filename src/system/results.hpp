@@ -40,8 +40,8 @@ struct SimResults
                    : 0.0;
     }
 
-    // --- L2-TLB-miss latency decomposition (Fig. 3 / Fig. 12) -------------
-    stats::LatencyBreakdown xlat;  ///< summed over all L2 TLB misses
+    // --- L2-TLB-miss latency (its Fig. 3 / Fig. 12 decomposition is
+    //     attribution.fieldTotal()) ------------------------------------------
     double avgXlatLatency = 0.0;
     /** Full latency distribution, merged over every GPU: p50/p90/p95/
      *  p99/p99.9 via quantile() — tail behaviour the mean hides. */
@@ -156,9 +156,9 @@ struct SimResults
     std::uint64_t driverBatches = 0;
     double driverAvgBatchSize = 0.0;
 
-    // --- latency attribution (per-mechanism refinement of xlat) ---------------
-    /** Bucketed cycle totals + the reply-race ledger. Bucket sums match
-     *  xlat field-for-field (obs::Checks enforces it per request). */
+    // --- latency attribution ---------------------------------------------------
+    /** Bucketed cycle totals over every finished L2 TLB miss, plus the
+     *  reply-race ledger. */
     obs::AttributionTable attribution;
     std::uint64_t obsCheckViolations = 0;  ///< watchdog trips (expect 0)
     std::uint64_t obsCheckedRequests = 0;  ///< requests the watchdog saw

@@ -209,7 +209,6 @@ MultiGpuSystem::setupObservability()
     obs_ = std::make_unique<obs::Observability>();
     obs_->spans.setCapacity(cfg_.obs.maxSpans);
     obs_->spans.setEnabled(cfg_.obs.spans);
-    obs_->attribution.setEnabled(cfg_.obs.attribution);
     obs_->attribution.attachChecks(&obs_->checks);
 
     obs::MetricRegistry &reg = obs_->metrics;
@@ -272,9 +271,6 @@ MultiGpuSystem::setupObservability()
     });
     reg.registerGauge("obs.checks.checkedRequests", [this] {
         return static_cast<double>(obs_->checks.checkedRequests());
-    });
-    reg.registerGauge("obs.attrib.liveRequests", [this] {
-        return static_cast<double>(obs_->attribution.liveRequests());
     });
     reg.registerGauge("obs.attrib.forwardSavedCycles", [this] {
         return obs_->attribution.table().forwardSavedCycles;
@@ -640,7 +636,6 @@ MultiGpuSystem::collect()
         r.pageAccesses += gs.accesses;
         r.l2TlbMisses += gs.l2Misses;
         r.shortCircuits += gs.shortCircuits;
-        r.xlat += g->xlatBreakdown();
         // Distributions merge by sum; divided by the miss count below.
         r.avgXlatLatency += gs.xlatLatency.sum();
         r.xlatLatencyHist.merge(gs.xlatHist);

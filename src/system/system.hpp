@@ -97,7 +97,7 @@ class MultiGpuSystem
      *  @return events executed. */
     std::uint64_t runQueues();
 
-    /** Attribution engine for event-time charge mirroring. Fetched at
+    /** Attribution engine for event-time charges. Fetched at
      *  call time because the wiring lambdas are created before obs_. */
     obs::AttributionEngine *attribEngine()
     {

@@ -6,7 +6,6 @@
 
 namespace transfw::uvm {
 
-#if TRANSFW_OBS
 namespace {
 
 /** Edge-tag a link traversal's timing split for the attribution
@@ -24,7 +23,6 @@ toAttribHop(int from, int to, const ic::HopTiming &t)
 }
 
 } // namespace
-#endif
 
 MigrationEngine::MigrationEngine(sim::EventQueue &eq,
                                  const cfg::SystemConfig &config,
@@ -198,40 +196,30 @@ MigrationEngine::transfer(int from_owner, int to_gpu,
         schedule(ser, std::move(cb));
         return;
     }
+    // The payload's route goes onto the request's timeline edge by
+    // edge, when timelines are kept. Uncounted: the Migration bucket
+    // is still charged as the lump `arrival - start` by the caller,
+    // and these hops only say where on the fabric the payload spent
+    // it. Traced and plain sends share one routing path, so timing
+    // is the same either way.
+    const bool trace = traced && attrib_ && attrib_->keepTimelines();
     if (from_owner == mem::kCpuDevice) {
-#if TRANSFW_OBS
-        if (traced && attrib_) {
-            ic::HopTiming t;
-            net_.fromHost(to_gpu).send(bytes, std::move(cb), &t);
-            attrib_->hop(traced->gpu, traced->id,
-                         obs::AttribBucket::Migration,
+        ic::HopTiming t;
+        net_.fromHost(to_gpu).send(bytes, std::move(cb), &t);
+        if (trace)
+            attrib_->hop(traced->lat, obs::AttribBucket::Migration,
                          toAttribHop(-1, to_gpu, t), /*counted=*/false,
                          curTick());
-            return;
-        }
-#endif
-        net_.fromHost(to_gpu).send(bytes, std::move(cb));
+    } else if (trace) {
+        net_.sendPeerTraced(
+            from_owner, to_gpu, bytes,
+            [this, traced](int from, int to, const ic::HopTiming &t) {
+                attrib_->hop(traced->lat, obs::AttribBucket::Migration,
+                             toAttribHop(from, to, t),
+                             /*counted=*/false, curTick());
+            },
+            std::move(cb));
     } else {
-#if TRANSFW_OBS
-        if (traced && attrib_) {
-            // The payload's fabric route, edge by edge, onto the
-            // request's timeline. Uncounted: the Migration bucket is
-            // still charged as the lump `arrival - start` by the
-            // caller, and these hops only say where on the fabric the
-            // payload spent it.
-            mmu::XlatPtr req = traced;
-            net_.sendPeerTraced(
-                from_owner, to_gpu, bytes,
-                [this, req](int from, int to, const ic::HopTiming &t) {
-                    attrib_->hop(req->gpu, req->id,
-                                 obs::AttribBucket::Migration,
-                                 toAttribHop(from, to, t),
-                                 /*counted=*/false, curTick());
-                },
-                std::move(cb));
-            return;
-        }
-#endif
         net_.sendPeer(from_owner, to_gpu, bytes, std::move(cb));
     }
 }

@@ -68,7 +68,7 @@ class MigrationEngine : public sim::SimObject
 
     const Stats &stats() const { return stats_; }
 
-    /** Observability: mirror latency charges per request (nullable). */
+    /** Observability: race ledger and late charges (nullable). */
     void attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;
@@ -150,10 +150,10 @@ class MigrationEngine : public sim::SimObject
     /**
      * As above; @p latency_overlapped models owner-push transfers
      * whose propagation overlapped the host notification hop. When
-     * @p traced names the request the payload serves, every traversed
-     * edge is reported to the attribution timeline as an *uncounted*
-     * hop (the Migration bucket keeps its lump-sum charge — the hops
-     * localize it on the fabric without double-charging).
+     * @p traced names the request the payload serves and timelines are
+     * kept, every traversed edge is reported to its timeline as an
+     * *uncounted* hop (the Migration bucket keeps its lump-sum charge —
+     * the hops localize it on the fabric without double-charging).
      */
     void transfer(int from_owner, int to_gpu, bool latency_overlapped,
                   sim::EventQueue::Callback cb,

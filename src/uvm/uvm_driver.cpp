@@ -144,11 +144,8 @@ UvmDriver::startWalk(mmu::XlatPtr req)
                 rl->req = req;
                 rl->targetGpu = *owner;
                 rl->tForwarded = curTick();
-#if TRANSFW_OBS
                 if (attrib_)
-                    attrib_->forwardLaunched(req->gpu, req->id,
-                                             curTick());
-#endif
+                    attrib_->forwardLaunched(req->lat, curTick());
                 // Handed off: the thread is released and the fault no
                 // longer gates this batch — the remote GPU completes it
                 // asynchronously via remoteLookupDone().
@@ -233,17 +230,13 @@ UvmDriver::remoteLookupDone(mmu::RemoteLookupPtr rl)
         // FT false positive: fall back to a software walk (the
         // remoteForwarded flag keeps startWalk from re-forwarding).
         ++stats_.forwardFail;
-#if TRANSFW_OBS
         if (attrib_)
-            attrib_->forwardOutcome(req->gpu, req->id, false, false, 0,
-                                    curTick());
-#endif
+            attrib_->forwardOutcome(req->lat, false, false, 0, curTick());
         walkQueue_.push_back(std::move(req));
         dispatchWalks();
         return;
     }
     ++stats_.forwardSuccess;
-#if TRANSFW_OBS
     if (attrib_) {
         // No software walk races a driver forward: success wins
         // outright, saving the estimated per-fault handling + walk.
@@ -251,10 +244,8 @@ UvmDriver::remoteLookupDone(mmu::RemoteLookupPtr rl)
             cfg_.driverPerFaultCost +
             static_cast<sim::Tick>(cfg_.pageTableLevels) *
                 cfg_.memLatency);
-        attrib_->forwardOutcome(req->gpu, req->id, true, true, est,
-                                curTick());
+        attrib_->forwardOutcome(req->lat, true, true, est, curTick());
     }
-#endif
     req->translationResolved = true;
     // The owner GPU pushes the page and replies to the requester
     // directly, exactly as on the hardware path.

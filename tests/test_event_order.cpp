@@ -461,7 +461,7 @@ TEST(EventOrder, EightGpuRingPodRunsIdentically)
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.l2TlbMisses, b.l2TlbMisses);
     EXPECT_EQ(a.farFaults, b.farFaults);
-    EXPECT_EQ(a.xlat.total(), b.xlat.total());
+    EXPECT_EQ(a.attribution.bucketTotal(), b.attribution.bucketTotal());
     EXPECT_EQ(a.avgXlatLatency, b.avgXlatLatency);
     EXPECT_EQ(a.xlatLatencyHist.quantile(0.99),
               b.xlatLatencyHist.quantile(0.99));

@@ -47,7 +47,9 @@ TEST(Gmmu, LocalWalkCompletesWithFullWalkLatency)
     // Cold PW-cache: five accesses at 100 cycles each.
     EXPECT_EQ(h.eq.now(), 500u);
     EXPECT_EQ(h.completed[0]->result.ppn, 7u);
-    EXPECT_DOUBLE_EQ(h.completed[0]->lat.gmmuMem, 500.0);
+    EXPECT_DOUBLE_EQ(h.completed[0]->lat.bucket[static_cast<std::size_t>(
+                         obs::AttribBucket::GmmuWalkMem)],
+                     500.0);
 }
 
 TEST(Gmmu, PwcWarmSecondWalkIsShort)

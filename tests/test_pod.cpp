@@ -223,19 +223,19 @@ TEST(PodShard, ShardStatSumsMatchTotals)
     // Every fault crossed the crossbar (K > 1 always routes).
     EXPECT_GE(r.hostRoutedFaults, r.farFaults);
 
-#if TRANSFW_OBS
-    // Attribution stays exact with the route hop in the path: the
-    // host-queue latency field decomposes into queue-wait plus the
-    // crossbar charge, cycle for cycle. (Buckets are stubbed out
-    // under -DTRANSFW_OBS=OFF.)
+    // The crossbar is one tagged hop of kRouteCycles per routed fault,
+    // charged to HostRoute, which the host-queue field groups with the
+    // queue wait itself.
     const auto &bucket = r.attribution.bucket;
     double host_queue = bucket[static_cast<std::size_t>(
         obs::AttribBucket::HostQueue)];
     double host_route = bucket[static_cast<std::size_t>(
         obs::AttribBucket::HostRoute)];
-    EXPECT_GT(host_route, 0.0);
-    EXPECT_DOUBLE_EQ(host_queue + host_route, r.xlat.hostQueue);
-#endif
+    EXPECT_DOUBLE_EQ(host_route,
+                     static_cast<double>(r.hostRoutedFaults *
+                                         mmu::HostMmuCluster::kRouteCycles));
+    EXPECT_DOUBLE_EQ(host_queue + host_route,
+                     r.attribution.fieldTotal(obs::LatField::HostQueue));
     EXPECT_EQ(r.obsCheckViolations, 0u);
 }
 

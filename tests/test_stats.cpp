@@ -77,19 +77,6 @@ TEST(BucketHistogram, GrowsOnDemand)
     EXPECT_GE(hist.buckets(), 8u);
 }
 
-TEST(LatencyBreakdownStat, SumAndAccumulate)
-{
-    LatencyBreakdown a;
-    a.gmmuQueue = 10;
-    a.migration = 5;
-    LatencyBreakdown b;
-    b.gmmuQueue = 1;
-    b.network = 2;
-    a += b;
-    EXPECT_DOUBLE_EQ(a.gmmuQueue, 11.0);
-    EXPECT_DOUBLE_EQ(a.total(), 18.0);
-}
-
 TEST(Registry, SetGetFormat)
 {
     Registry registry;

@@ -193,7 +193,7 @@ TEST(System, BreakdownRoughlyCoversMeasuredLatency)
     wl::SyntheticWorkload workload(sharedSpec());
     sys::SimResults r = sys::runWorkload(workload, smallConfig());
     ASSERT_GT(r.l2TlbMisses, 0u);
-    double component_avg = r.xlat.total() / r.l2TlbMisses;
+    double component_avg = r.attribution.bucketTotal() / r.l2TlbMisses;
     // Components should account for most of the measured latency
     // (parallel paths may double-count a little, gaps may miss a bit).
     EXPECT_GT(component_avg, 0.5 * r.avgXlatLatency);
