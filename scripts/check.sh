@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 check: build and run the full test suite, gate the peak RSS
-# of a 64-GPU pod run, validate the microbench JSON schema, gate
-# end-to-end simulator throughput against the committed
-# BENCH_core.json, then rebuild twice more: once with
+# Tier-1 check: build and run the full test suite, run every paper
+# figure at a small scale (build/bench/figures must exit 0 and print no
+# nan or inf numeric cell), gate the peak RSS of a 64-GPU pod run,
+# validate the microbench JSON schema, gate end-to-end simulator
+# throughput against the committed BENCH_core.json, then rebuild
+# twice more: once with
 # -DTRANSFW_OBS=OFF (spans, self-profiler and fabric telemetry compiled
 # out; its Trans-FW ledger must match the plain build's) and once with
 # AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
@@ -49,6 +51,21 @@ echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== figure smoke (every figure at TRANSFW_SCALE=0.05) =="
+# Fails on a nonzero exit or on a numeric cell that printed nan or inf.
+# Only whole numeric tokens match: Fig. 4's header names an infPWC
+# column, and Fig. 3's percentile lines separate numbers with '/'.
+FIG_OUT=$(mktemp /tmp/transfw_figures.XXXXXX.txt)
+TRANSFW_SCALE=0.05 ./build/bench/figures >"$FIG_OUT"
+NONFINITE='(^|[[:space:]/=(])[-+]?(nan|inf)($|[[:space:]/,)%])'
+if grep -Eqi "$NONFINITE" "$FIG_OUT"; then
+    grep -Eni "$NONFINITE" "$FIG_OUT" | head -20
+    echo "figure smoke FAILED: nan/inf cells above" >&2
+    exit 1
+fi
+echo "figure smoke OK ($(grep -c '^== ' "$FIG_OUT") table headers)"
+rm -f "$FIG_OUT"
 
 echo "== footprint gate (64-GPU ring pod, peak RSS <= 128 MB) =="
 # Memory that grows with the GPU count (65 page tables, per-GPU maps

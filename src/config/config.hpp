@@ -46,7 +46,7 @@ struct TransFwConfig
     /**
      * Ablation switches: Trans-FW is two mechanisms — the GMMU short
      * circuit (PRT) and the host MMU remote forwarding (FT). Disabling
-     * one isolates the other's contribution (bench_ablation).
+     * one isolates the other's contribution (figures ablation).
      */
     bool enableShortCircuit = true;
     bool enableForwarding = true;

@@ -70,13 +70,18 @@ TaskPool::workerLoop()
 }
 
 unsigned
+TaskPool::envThreads()
+{
+    const char *env = std::getenv("TRANSFW_JOBS");
+    int v = env ? std::atoi(env) : 0;
+    return v > 0 ? static_cast<unsigned>(v) : 0;
+}
+
+unsigned
 TaskPool::defaultThreads()
 {
-    if (const char *env = std::getenv("TRANSFW_JOBS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
+    if (unsigned env = envThreads())
+        return env;
     unsigned hw = std::thread::hardware_concurrency();
 #ifdef __unix__
     // hardware_concurrency() is allowed to return 0, and in some

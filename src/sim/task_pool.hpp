@@ -51,6 +51,9 @@ class TaskPool
      */
     static unsigned defaultThreads();
 
+    /** TRANSFW_JOBS when set to a positive count, else 0. */
+    static unsigned envThreads();
+
   private:
     void workerLoop();
 

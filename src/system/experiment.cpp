@@ -1,9 +1,6 @@
 #include "system/experiment.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <vector>
 
 #include "workload/apps.hpp"
 
@@ -50,65 +47,6 @@ runWorkload(const wl::Workload &workload, const cfg::SystemConfig &config)
 {
     MultiGpuSystem system(config, workload);
     return system.run();
-}
-
-namespace {
-
-SeedStats
-summarize(const std::vector<double> &samples)
-{
-    SeedStats stats;
-    stats.seeds = static_cast<int>(samples.size());
-    if (samples.empty())
-        return stats;
-    double sum = 0, sumsq = 0;
-    stats.min = samples[0];
-    stats.max = samples[0];
-    for (double x : samples) {
-        sum += x;
-        sumsq += x * x;
-        stats.min = std::min(stats.min, x);
-        stats.max = std::max(stats.max, x);
-    }
-    stats.mean = sum / samples.size();
-    double var = sumsq / samples.size() - stats.mean * stats.mean;
-    stats.stddev = var > 0 ? std::sqrt(var) : 0.0;
-    return stats;
-}
-
-} // namespace
-
-SeedStats
-execTimeAcrossSeeds(const std::string &abbr,
-                    const cfg::SystemConfig &config, int n_seeds,
-                    double scale)
-{
-    std::vector<double> samples;
-    for (int seed = 1; seed <= n_seeds; ++seed) {
-        cfg::SystemConfig c = config;
-        c.seed = static_cast<std::uint64_t>(seed);
-        samples.push_back(
-            static_cast<double>(runApp(abbr, c, scale).execTime));
-    }
-    return summarize(samples);
-}
-
-SeedStats
-speedupAcrossSeeds(const std::string &abbr,
-                   const cfg::SystemConfig &baseline,
-                   const cfg::SystemConfig &variant, int n_seeds,
-                   double scale)
-{
-    std::vector<double> samples;
-    for (int seed = 1; seed <= n_seeds; ++seed) {
-        cfg::SystemConfig a = baseline;
-        cfg::SystemConfig b = variant;
-        a.seed = static_cast<std::uint64_t>(seed);
-        b.seed = static_cast<std::uint64_t>(seed);
-        samples.push_back(
-            speedup(runApp(abbr, a, scale), runApp(abbr, b, scale)));
-    }
-    return summarize(samples);
 }
 
 } // namespace transfw::sys

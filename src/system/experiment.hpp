@@ -42,34 +42,6 @@ speedup(const SimResults &baseline, const SimResults &candidate)
 /** Effective work scale (TRANSFW_SCALE env var or 1.0). */
 double effectiveScale(double requested);
 
-/** Mean / stddev / extrema of a metric across seeds. */
-struct SeedStats
-{
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    int seeds = 0;
-};
-
-/**
- * Run @p abbr under @p config with seeds 1..n_seeds and summarize the
- * execution times (the simulator is deterministic per seed; this
- * quantifies sensitivity to the workload's random draws).
- */
-SeedStats execTimeAcrossSeeds(const std::string &abbr,
-                              const cfg::SystemConfig &config,
-                              int n_seeds, double scale = 0.0);
-
-/**
- * Speedup of @p variant over @p baseline per seed, summarized. Use to
- * attach error bars to any headline number.
- */
-SeedStats speedupAcrossSeeds(const std::string &abbr,
-                             const cfg::SystemConfig &baseline,
-                             const cfg::SystemConfig &variant,
-                             int n_seeds, double scale = 0.0);
-
 } // namespace transfw::sys
 
 #endif // TRANSFW_SYSTEM_EXPERIMENT_HPP

@@ -26,6 +26,7 @@ runKey(const RunSpec &spec)
 SweepRunner::SweepRunner(int jobs)
     : jobs_(jobs > 0 ? jobs
                      : static_cast<int>(sim::TaskPool::defaultThreads())),
+      jobsDetected_(jobs <= 0 && sim::TaskPool::envThreads() == 0),
       ledgerPath_(obs::RunLedger::envPath())
 {
     // Sweeps memoize every (config, app, scale) point; typical matrices
@@ -96,7 +97,7 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
         effective_jobs = static_cast<unsigned>(
             std::min<std::size_t>(pending.size(),
                                   static_cast<std::size_t>(jobs_)));
-    if (jobs_ <= 1 && pending.size() > 1) {
+    if (jobsDetected_ && jobs_ <= 1 && pending.size() > 1) {
         static std::once_flag warned;
         std::call_once(warned, [] {
             sim::warn("sweep: running serial (1 job); thread detection "

@@ -35,12 +35,12 @@ std::string runKey(const RunSpec &spec);
  *    (test_sweep asserts this).
  *  - Duplicate specs — within one run() call or across calls on the
  *    same runner — execute once; later requests are served from the
- *    memo. bench_util routes every figure bench through a shared
- *    runner, so e.g. a threshold sweep re-running the baseline per
- *    point pays for it once.
+ *    memo. The figures bench routes every figure's points through
+ *    shared(), so a baseline many figures share is simulated once.
  *
  * Thread count: explicit > TRANSFW_JOBS env > hardware concurrency.
- * jobs() == 1 runs inline with no threads at all.
+ * jobs() == 1 runs inline with no threads at all; a serial sweep warns
+ * only when the count came from hardware detection.
  */
 class SweepRunner
 {
@@ -79,13 +79,14 @@ class SweepRunner
     const std::string &ledgerPath() const { return ledgerPath_; }
 
     /**
-     * Process-wide runner the benches share, so baseline runs are
-     * memoised across every speedupSeries/figure in one binary.
+     * Process-wide runner the figures bench shares, so a point every
+     * figure needs is simulated once per process.
      */
     static SweepRunner &shared();
 
   private:
     int jobs_;
+    bool jobsDetected_; ///< jobs_ came from hardware detection
     std::string ledgerPath_;
     mutable std::mutex mu_;
     std::unordered_map<std::string, SimResults> memo_;

@@ -114,6 +114,17 @@ TEST(Sweep, MemoisesDuplicateSpecsWithinAndAcrossBatches)
     EXPECT_EQ(runner.stats().executed, 2u);
 }
 
+TEST(Sweep, RequestedSerialRunDoesNotWarn)
+{
+    // The "thread detection may have failed" warning is for a job count
+    // hardware detection produced, not for one the caller asked for.
+    testing::internal::CaptureStderr();
+    sys::SweepRunner(1).run(
+        {{"FIR", sys::baselineConfig(), kScale},
+         {"FIR", sys::transFwConfig(), kScale}});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Sweep, DistinctConfigsAreNotConflated)
 {
     sys::SweepRunner runner(1);
@@ -204,6 +215,76 @@ TEST(Sweep, KeyCoversConfigFields)
 
     c = ref;
     c.seed += 1;
+    EXPECT_TRUE(differs(c));
+
+    // Every field a figure varies: one shared memo serves all figures,
+    // so a field missing here would hand one figure another's result.
+    c = ref;
+    c.pageTableLevels = 4;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.pageShift = mem::kLargePageShift;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.pwcKind = pwc::PwcKind::Stc;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.hostTlb.entries *= 2;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.hostWalkers += 1;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.memModel = cfg::MemModel::Hierarchy;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.prewarmPlacement = !ref.prewarmPlacement;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.transFw.prtBuckets *= 2;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.transFw.ftBuckets *= 2;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.transFw.enableShortCircuit = !ref.transFw.enableShortCircuit;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.transFw.enableForwarding = !ref.transFw.enableForwarding;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.transFw.vpnMaskBits += 1;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.asap.enabled = !ref.asap.enabled;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.leastTlb.enabled = !ref.leastTlb.enabled;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.oracle.infiniteWalkers = true;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.oracle.zeroMigrationCost = true;
+    EXPECT_TRUE(differs(c));
+
+    c = ref;
+    c.oracle.noLocalFaults = true;
     EXPECT_TRUE(differs(c));
 
     // And sameness: an untouched copy maps to the same key.
