@@ -9,9 +9,9 @@
  * Without GPU:ID the slowest finished translation of the run is
  * explained — usually the most interesting one.
  */
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -72,14 +72,17 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
+    for (const std::string &arg : args) {
+        if (arg == "--help" || arg == "-h") {
+            std::printf("usage: explain_request [APP] "
+                        "[baseline|transfw|sw|sw-transfw] [GPU:ID]\n");
+            return 0;
+        }
+    }
     std::string app = args.size() > 0 ? args[0] : "MT";
     std::string mode = args.size() > 1 ? args[1] : "transfw";
 
-    cfg::SystemConfig config = (mode == "transfw" || mode == "sw-transfw")
-                                   ? sys::transFwConfig()
-                                   : sys::baselineConfig();
-    if (mode == "sw" || mode == "sw-transfw")
-        config.faultMode = cfg::FaultMode::UvmDriver;
+    cfg::SystemConfig config = sys::modeConfig(mode);
 
     wl::SyntheticWorkload workload(
         wl::appSpec(app, sys::effectiveScale(0.0)));
@@ -116,8 +119,9 @@ main(int argc, char **argv)
         return 1;
     }
 
+    const std::array<double, obs::kNumAttribBuckets> bucket = tl->buckets();
     const double total =
-        std::accumulate(std::begin(tl->bucket), std::end(tl->bucket), 0.0);
+        std::accumulate(bucket.begin(), bucket.end(), 0.0);
     std::printf("== %s (%s): translation gpu%d:%llu ==\n", app.c_str(),
                 mode.c_str(), gpu, static_cast<unsigned long long>(id));
     std::printf("vpn 0x%llx  issued @%llu  finished @%llu  wall %llu  "
@@ -130,12 +134,11 @@ main(int argc, char **argv)
 
     std::printf("[buckets]\n");
     for (std::size_t b = 0; b < obs::kNumAttribBuckets; ++b) {
-        if (tl->bucket[b] == 0)
+        if (bucket[b] == 0)
             continue;
         std::printf("  %-16s %10.0f  (%5.1f%%)\n",
                     obs::bucketName(static_cast<obs::AttribBucket>(b)),
-                    tl->bucket[b],
-                    total ? 100.0 * tl->bucket[b] / total : 0.0);
+                    bucket[b], total ? 100.0 * bucket[b] / total : 0.0);
     }
 
     // The actual route this request's messages took, edge by edge,

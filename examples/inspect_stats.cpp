@@ -79,6 +79,15 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
+    for (const std::string &arg : args) {
+        if (arg == "--help" || arg == "-h") {
+            std::printf("usage: %s [--json] [--shards N] [APP] "
+                        "[baseline|transfw|sw|sw-transfw] [PAD]\n"
+                        "       %s --ledger FILE\n",
+                        argv[0], argv[0]);
+            return 0;
+        }
+    }
     if (!args.empty() && args[0] == "--ledger") {
         if (args.size() < 2) {
             std::fprintf(stderr, "usage: %s --ledger FILE\n", argv[0]);
@@ -105,11 +114,7 @@ main(int argc, char **argv)
     std::string app = args.size() > 0 ? args[0] : "MT";
     std::string mode = args.size() > 1 ? args[1] : "baseline";
 
-    cfg::SystemConfig config = (mode == "transfw" || mode == "sw-transfw")
-                                   ? sys::transFwConfig()
-                                   : sys::baselineConfig();
-    if (mode == "sw" || mode == "sw-transfw")
-        config.faultMode = cfg::FaultMode::UvmDriver;
+    cfg::SystemConfig config = sys::modeConfig(mode);
     if (shards > 0)
         config.hostShards = shards;
     // Optional third argument: multiply per-op compute (density knob).
@@ -189,7 +194,6 @@ main(int argc, char **argv)
     std::printf("[observability health]\n");
     dump("watchdog checked requests", r.obsCheckedRequests);
     dump("watchdog violations", r.obsCheckViolations);
-    dump("dropped spans", r.droppedSpans);
 
 #if TRANSFW_OBS
     // Per-link congestion: where on the fabric routed traffic queued.

@@ -5,11 +5,11 @@
 # validate the microbench JSON schema, gate end-to-end simulator
 # throughput against the committed BENCH_core.json, then rebuild
 # twice more: once with
-# -DTRANSFW_OBS=OFF (spans, self-profiler and fabric telemetry compiled
-# out; its Trans-FW ledger must match the plain build's) and once with
+# -DTRANSFW_OBS=OFF (self-profiler and fabric telemetry compiled out;
+# its Trans-FW ledger must match the plain build's) and once with
 # AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
 # promoted to a hard abort (TRANSFW_OBS_STRICT) — a single attribution
-# or span-nesting violation anywhere in the suite fails the gate — and
+# or timeline violation anywhere in the suite fails the gate — and
 # finally with ThreadSanitizer, which races the parallel sweep runner
 # (SweepRunner over TaskPool, whole simulations per worker thread).
 # In between, the run-ledger gate replays a small config matrix through
@@ -289,11 +289,11 @@ if [[ "$FAST" == "1" ]]; then
 fi
 
 echo "== no-obs build (-DTRANSFW_OBS=OFF) =="
-# Spans, the self-profiler and fabric telemetry compile out; latency
-# attribution does not. Results must not depend on the switch: one
-# Trans-FW run's ledger record from each build must carry equal values
-# on every metric key both records have (the fabric.* keys exist only
-# with observability compiled in).
+# The self-profiler and fabric telemetry compile out; latency
+# attribution and its timelines do not. Results must not depend on the
+# switch: one Trans-FW run's ledger record from each build must carry
+# equal values on every metric key both records have (the fabric.*
+# keys exist only with observability compiled in).
 cmake -B build-noobs -S . -DTRANSFW_OBS=OFF >/dev/null
 cmake --build build-noobs -j "$JOBS"
 ctest --test-dir build-noobs --output-on-failure -j "$JOBS"

@@ -108,9 +108,7 @@ SystemConfig::key() const
     u(oracle.infiniteWalkers);
     u(oracle.zeroMigrationCost);
     u(oracle.noLocalFaults);
-    u(obs.spans);
     u(obs.sampleInterval);
-    u(obs.maxSpans);
     u(obs.selfProfile);
     u(obs.profileStride);
     u(seed);

@@ -114,25 +114,22 @@ struct LeastTlbConfig
 };
 
 /**
- * Observability knobs (src/obs/): request-span recording for Perfetto
- * export and the interval time-series sampler. Both default off —
- * disabled they cost one predictable branch per instrumentation site
- * (and nothing at all when compiled with TRANSFW_OBS=0).
+ * Observability knobs (src/obs/): the interval time-series sampler and
+ * the host-side self-profiler. Per-request traces are not a config
+ * knob: they are the attribution engine's kept timelines
+ * (obs::AttributionEngine::setKeepTimelines), which change no result.
  */
 struct ObsConfig
 {
-    bool spans = false;            ///< record per-request lifecycle spans
     sim::Tick sampleInterval = 0;  ///< time-series period (0 = off)
-    std::size_t maxSpans = std::size_t{1} << 22; ///< span buffer cap
     /**
      * Host-side self-profiler: attribute event-dispatch wall clock to
      * component buckets by sampling one dispatch in profileStride. On
      * by default, so every ledger record carries a host profile. No
-     * effect (and zero cost) when compiled with TRANSFW_OBS=0. With
-     * spans off, that switch removes this profiler and the fabric
-     * telemetry; a default MT Trans-FW run() took 1.06x as long with
-     * them compiled in (medians 0.248 s vs 0.233 s, 10 alternating
-     * pairs, 4-thread Xeon VM).
+     * effect (and zero cost) when compiled with TRANSFW_OBS=0, which
+     * removes this profiler and the fabric telemetry; a default MT
+     * Trans-FW run() took 1.06x as long with them compiled in (medians
+     * 0.248 s vs 0.233 s, 10 alternating pairs, 4-thread Xeon VM).
      */
     bool selfProfile = true;
     std::uint32_t profileStride = 16; ///< sample 1 dispatch in N

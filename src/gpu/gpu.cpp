@@ -138,7 +138,7 @@ Gpu::startTranslation(int cu, mem::Vpn vpn, bool write)
             mmu::charge(
                 *req, attrib_, obs::AttribBucket::LeastTlbProbe,
                 static_cast<double>(cfg_.leastTlb.remoteProbeLatency),
-                curTick());
+                req->tIssue);
             const tlb::TlbEntry *entry =
                 hooks.probeSiblingL2(req->vpn, id_);
             if (entry && !entry->remote && (!req->isWrite ||
@@ -177,10 +177,6 @@ Gpu::finishTranslation(const mmu::XlatPtr &req)
     double wall = static_cast<double>(curTick() - req->tIssue);
     stats_.xlatLatency.record(wall);
     stats_.xlatHist.record(wall);
-    if (spans_)
-        spans_->record("xlat", static_cast<std::uint32_t>(id_), req->id,
-                       req->tIssue, curTick(), req->vpn,
-                       req->lat.total());
     if (attrib_)
         attrib_->finish(req->lat, id_, req->id, req->shortCircuited,
                         curTick());

@@ -18,7 +18,6 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_profiler.hpp"
-#include "obs/span.hpp"
 #include "sim/random.hpp"
 #include "sim/sim_object.hpp"
 #include "tlb/tlb.hpp"
@@ -118,13 +117,6 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     const tlb::Tlb &l1Tlb(int cu) const { return *l1tlbs_[cu]; }
     const Stats &stats() const { return stats_; }
 
-    /** Observability: record lifecycle spans (propagates to the GMMU). */
-    void
-    attachSpans(obs::SpanRecorder *spans)
-    {
-        spans_ = spans;
-        gmmu_.attachSpans(spans);
-    }
     /** Observability: fold finished requests into the run's
      *  attribution (propagates to the GMMU). */
     void
@@ -188,7 +180,6 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     std::unique_ptr<core::PendingRequestTable> prt_;
     std::uint64_t nextReqId_ = 1;
     Stats stats_;
-    obs::SpanRecorder *spans_ = nullptr;
     obs::AttributionEngine *attrib_ = nullptr;
 };
 

@@ -9,7 +9,7 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "sim/obs_switch.hpp"
 #include "sim/sim_object.hpp"
 
 namespace transfw::ic {

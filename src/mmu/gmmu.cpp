@@ -2,7 +2,6 @@
 
 #include "mmu/walk_timing.hpp"
 #include "sim/logging.hpp"
-#include "sim/trace.hpp"
 
 namespace transfw::mmu {
 
@@ -65,19 +64,12 @@ Gmmu::startWalk(Job job)
         charge(*job.local, attrib_,
                job.overflowed ? obs::AttribBucket::L2TlbQueue
                               : obs::AttribBucket::GmmuQueue,
-               static_cast<double>(wait), curTick());
-        if (spans_)
-            spans_->record("gmmu.queue", job.local->gpu, job.local->id,
-                           job.enqueued, curTick(), job.local->vpn);
+               static_cast<double>(wait), job.enqueued);
     } else {
         // Remote GMMU contention is part of the fault-handling path but
         // not a host PW-queue wait; Fig. 3 buckets it as "other".
         charge(*job.remote->req, attrib_, obs::AttribBucket::RemoteWalk,
-               static_cast<double>(wait), curTick());
-        if (spans_)
-            spans_->record("gmmu.remote.queue", job.remote->req->gpu,
-                           job.remote->req->id, job.enqueued, curTick(),
-                           job.remote->req->vpn);
+               static_cast<double>(wait), job.enqueued);
     }
 
     ++busyWalkers_;
@@ -112,12 +104,6 @@ Gmmu::startWalk(Job job)
 
     sim::Tick walk_latency =
         static_cast<sim::Tick>(timing.serialAccesses) * cfg_.memLatency;
-    if (spans_) {
-        const XlatPtr &req = job.local ? job.local : job.remote->req;
-        spans_->record(job.local ? "gmmu.walk" : "gmmu.remote.walk",
-                       req->gpu, req->id, curTick(),
-                       curTick() + walk_latency, req->vpn);
-    }
     // Moving the job into the lambda keeps the request alive even if
     // the caller drops its reference.
     schedule(walk_latency,
@@ -156,11 +142,6 @@ Gmmu::finishWalk(Job job, const mem::WalkResult &walk, int hit_level)
             sim::panic("local page table maps a non-local page without "
                        "the remote bit");
         }
-        TFW_TRACE(eventq(), "gmmu",
-                  "%s walk vpn=%llx present=%d accesses=%d",
-                  name().c_str(),
-                  static_cast<unsigned long long>(req->vpn),
-                  walk.present ? 1 : 0, walk.accesses);
         if (walk.present) {
             req->result = tlb::TlbEntry{walk.info.ppn, walk.info.owner,
                                         walk.info.writable,

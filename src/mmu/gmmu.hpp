@@ -10,7 +10,6 @@
 #include "mmu/request.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_profiler.hpp"
-#include "obs/span.hpp"
 #include "pwc/pwc.hpp"
 #include "sim/random.hpp"
 #include "sim/sim_object.hpp"
@@ -68,8 +67,6 @@ class Gmmu : public sim::SimObject
     const pwc::PageWalkCache &pwc() const { return *pwc_; }
     const Stats &stats() const { return stats_; }
 
-    /** Observability: record lifecycle spans into @p spans (nullable). */
-    void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
     /** Observability: race ledger and late charges (nullable). */
     void attachAttribution(obs::AttributionEngine *attrib)
     {
@@ -109,7 +106,6 @@ class Gmmu : public sim::SimObject
     std::deque<Job> queue_;
     int busyWalkers_ = 0;
     Stats stats_;
-    obs::SpanRecorder *spans_ = nullptr;
     obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 };

@@ -2,7 +2,6 @@
 
 #include "mmu/walk_timing.hpp"
 #include "sim/logging.hpp"
-#include "sim/trace.hpp"
 
 namespace transfw::mmu {
 
@@ -38,9 +37,6 @@ HostMmu::handleFault(XlatPtr req)
     // faults on one hot page therefore contend for walkers — the host
     // PW-queue pressure Trans-FW's forwarding relieves.
     ++stats_.faults;
-    TFW_TRACE(eventq(), "host", "fault vpn=%llx gpu=%d%s",
-              static_cast<unsigned long long>(req->vpn), req->gpu,
-              req->shortCircuited ? " (short-circuited)" : "");
     admit(std::move(req));
 }
 
@@ -49,13 +45,8 @@ HostMmu::admit(XlatPtr req)
 {
     charge(*req, attrib_, obs::AttribBucket::HostTlb,
            static_cast<double>(tlb_.lookupLatency()), curTick());
-    sim::Tick t_admit = curTick();
-    schedule(tlb_.lookupLatency(), [this, req = std::move(req),
-                                    t_admit]() mutable {
+    schedule(tlb_.lookupLatency(), [this, req = std::move(req)]() mutable {
         obs::ProfScope prof(profiler_, obs::ProfBucket::HostMmu);
-        if (spans_)
-            spans_->record("host.tlb", req->gpu, req->id, t_admit,
-                           curTick(), req->vpn);
         // Fig. 8 characterization: could the owner GPU's PW-cache have
         // served (a prefix of) this translation?
         if (const mem::PageInfo *pi = central_.lookup(req->vpn)) {
@@ -90,14 +81,9 @@ HostMmu::admit(XlatPtr req)
                                    req->gpu)) {
                 ++stats_.forwards;
                 req->remoteForwarded = true;
-                TFW_TRACE(eventq(), "host",
-                          "forward vpn=%llx -> gpu%d (queue=%zu)",
-                          static_cast<unsigned long long>(req->vpn),
-                          *owner, queue_.size());
                 RemoteLookupPtr rl = makeRemoteLookup();
                 rl->req = req;
                 rl->targetGpu = *owner;
-                rl->tForwarded = curTick();
                 if (attrib_)
                     attrib_->forwardLaunched(req->lat, curTick());
                 forwardToGpu(std::move(rl));
@@ -139,10 +125,7 @@ HostMmu::tryDispatch()
         sim::Tick wait = curTick() - entry.enqueued;
         stats_.queueWait.record(static_cast<double>(wait));
         charge(*entry.req, attrib_, obs::AttribBucket::HostQueue,
-               static_cast<double>(wait), curTick());
-        if (spans_)
-            spans_->record("host.queue", entry.req->gpu, entry.req->id,
-                           entry.enqueued, curTick(), entry.req->vpn);
+               static_cast<double>(wait), entry.enqueued);
         startWalk(std::move(entry.req));
     }
 }
@@ -174,9 +157,6 @@ HostMmu::startWalk(XlatPtr req)
 
     sim::Tick latency =
         static_cast<sim::Tick>(timing.serialAccesses) * cfg_.memLatency;
-    if (spans_)
-        spans_->record("host.walk", req->gpu, req->id, curTick(),
-                       curTick() + latency, req->vpn);
     schedule(latency, [this, req = std::move(req), walk,
                        hit_level]() mutable {
         obs::ProfScope prof(profiler_, obs::ProfBucket::HostMmu);
@@ -214,10 +194,6 @@ HostMmu::remoteLookupDone(RemoteLookupPtr rl)
 {
     obs::ProfScope prof(profiler_, obs::ProfBucket::Forwarding);
     XlatPtr req = rl->req;
-    if (spans_)
-        spans_->record(rl->success ? "host.forward" : "host.forward.fail",
-                       req->gpu, req->id, rl->tForwarded, curTick(),
-                       req->vpn);
     if (!rl->success) {
         ++stats_.forwardFail;
         if (attrib_)
@@ -243,12 +219,7 @@ HostMmu::translationKnown(XlatPtr req, const tlb::TlbEntry &entry)
 {
     req->translationResolved = true;
     (void)entry; // placement decisions read the central entry directly
-    sim::Tick t_resolve = curTick();
-    engine_.resolve(req, [this, req,
-                          t_resolve](const tlb::TlbEntry &final_entry) {
-        if (spans_)
-            spans_->record("host.resolve", req->gpu, req->id, t_resolve,
-                           curTick(), req->vpn);
+    engine_.resolve(req, [this, req](const tlb::TlbEntry &final_entry) {
         finishFault(req, final_entry);
     });
 }

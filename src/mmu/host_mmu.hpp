@@ -13,7 +13,6 @@
 #include "mmu/request.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_profiler.hpp"
-#include "obs/span.hpp"
 #include "pwc/pwc.hpp"
 #include "sim/random.hpp"
 #include "sim/sim_object.hpp"
@@ -88,8 +87,6 @@ class HostMmu : public sim::SimObject
     std::size_t queueDepth() const { return queue_.size(); }
     const Stats &stats() const { return stats_; }
 
-    /** Observability: record lifecycle spans into @p spans (nullable). */
-    void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
     /** Observability: race ledger and late charges (nullable). */
     void attachAttribution(obs::AttributionEngine *attrib)
     {
@@ -129,7 +126,6 @@ class HostMmu : public sim::SimObject
     int busyWalkers_ = 0;
 
     Stats stats_;
-    obs::SpanRecorder *spans_ = nullptr;
     obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 };

@@ -209,12 +209,6 @@ class HostMmuCluster
 
     // --- observability ------------------------------------------------------
     void
-    attachSpans(obs::SpanRecorder *spans)
-    {
-        for (auto &s : shards_)
-            s->attachSpans(spans);
-    }
-    void
     attachAttribution(obs::AttributionEngine *attrib)
     {
         attrib_ = attrib;

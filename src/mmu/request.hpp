@@ -55,35 +55,37 @@ using XlatPtr = sim::PoolRef<XlatRequest>;
 
 /**
  * The one way components charge translation latency: adds @p cycles
- * to the request's @p bucket. Only a charge onto a finished request (a
+ * to the request's @p bucket. @p start is when the charged phase began
+ * (a queue wait is charged when it ends, a walk when it starts); only
+ * a kept timeline reads it. Only a charge onto a finished request (a
  * race loser still in flight, booked late) or onto a kept timeline
  * goes through the engine; @p attrib may be null (no engine attached).
  */
 inline void
 charge(XlatRequest &req, obs::AttributionEngine *attrib,
-       obs::AttribBucket bucket, double cycles, sim::Tick now)
+       obs::AttribBucket bucket, double cycles, sim::Tick start)
 {
     if (attrib && req.lat.needsEngine()) [[unlikely]]
-        attrib->charge(req.lat, bucket, cycles, now);
+        attrib->charge(req.lat, bucket, cycles, start);
     else
         req.lat.add(bucket, cycles);
 }
 
 /**
- * Edge-tagged variant of charge() for interconnect traversals: the
- * hop's wait + ser + prop total lands in @p bucket and in the
- * request's per-hop sum, which obs::Checks proves equals the
- * Network/HostRoute buckets. Every Network and HostRoute charge site
- * must use this form — a plain charge() into those buckets alongside
- * tagged hops trips the watchdog's per-hop balance check.
+ * Edge-tagged variant of charge() for interconnect traversals entered
+ * at @p start: the hop's wait + ser + prop total lands in @p bucket
+ * and in the request's per-hop sum, which obs::Checks proves equals
+ * the Network/HostRoute buckets. Every Network and HostRoute charge
+ * site must use this form — a plain charge() into those buckets
+ * alongside tagged hops trips the watchdog's per-hop balance check.
  */
 inline void
 chargeHop(XlatRequest &req, obs::AttributionEngine *attrib,
           obs::AttribBucket bucket, const obs::AttribHop &hop,
-          sim::Tick now)
+          sim::Tick start)
 {
     if (attrib && req.lat.needsEngine()) [[unlikely]]
-        attrib->hop(req.lat, bucket, hop, /*counted=*/true, now);
+        attrib->hop(req.lat, bucket, hop, /*counted=*/true, start);
     else
         req.lat.addHop(bucket, hop.total());
 }
@@ -105,7 +107,6 @@ struct RemoteLookup : public sim::Pooled<RemoteLookup>
     int targetGpu = 0;  ///< owner candidate from the Forwarding Table
     bool success = false;
     tlb::TlbEntry result;
-    sim::Tick tForwarded = 0;
 };
 
 using RemoteLookupPtr = sim::PoolRef<RemoteLookup>;

@@ -1,9 +1,12 @@
 #include "obs/attrib.hpp"
 
-#include <algorithm>
-#include <iterator>
+#include <numeric>
+#include <ostream>
+#include <set>
 
 #include "obs/checks.hpp"
+#include "obs/json.hpp"
+#include "obs/sampler.hpp"
 
 namespace transfw::obs {
 
@@ -85,31 +88,49 @@ RequestLatency::total() const
     return sumBuckets(bucket);
 }
 
+std::array<double, kNumAttribBuckets>
+Timeline::buckets() const
+{
+    std::array<double, kNumAttribBuckets> sums{};
+    for (const AttribEvent &ev : events)
+        if ((ev.kind == AttribEvent::Kind::Charge ||
+             ev.kind == AttribEvent::Kind::NetworkHop) &&
+            !ev.late && !ev.uncounted)
+            sums[static_cast<std::size_t>(ev.bucket)] += ev.cycles;
+    return sums;
+}
+
 void
 AttributionEngine::openTimeline(RequestLatency &lat, int gpu,
                                 std::uint64_t id, std::uint64_t vpn,
                                 sim::Tick now)
 {
-    Timeline &tl = timelines_[key(gpu, id)];
-    tl = Timeline{};
+    if (timelines_.size() >= kMaxTimelines) {
+        ++droppedTimelines_;
+        return;
+    }
+    Timeline &tl = timelines_.emplace_back();
+    tl.gpu = gpu;
+    tl.id = id;
     tl.vpn = vpn;
     tl.tIssue = now;
     lat.timeline = &tl;
 }
 
-void
+AttribEvent *
 AttributionEngine::note(RequestLatency &lat, sim::Tick tick,
-                        AttribEvent::Kind kind, AttribBucket bucket,
-                        double cycles)
+                        AttribEvent::Kind kind, double cycles,
+                        AttribBucket bucket)
 {
     if (!lat.timeline)
-        return;
-    AttribEvent ev;
+        return nullptr;
+    AttribEvent &ev = lat.timeline->events.emplace_back();
     ev.tick = tick;
-    ev.kind = kind;
     ev.bucket = bucket;
+    ev.kind = kind;
+    ev.late = lat.finished;
     ev.cycles = cycles;
-    lat.timeline->events.push_back(ev);
+    return &ev;
 }
 
 void
@@ -121,9 +142,9 @@ AttributionEngine::closeRace(RequestLatency &lat)
 
 void
 AttributionEngine::charge(RequestLatency &lat, AttribBucket bucket,
-                          double cycles, sim::Tick now)
+                          double cycles, sim::Tick start)
 {
-    note(lat, now, AttribEvent::Kind::Charge, bucket, cycles);
+    note(lat, start, AttribEvent::Kind::Charge, cycles, bucket);
     if (lat.finished) {
         // Race loser still in flight after first-reply-wins resolved
         // the request: off the critical path, so ledger-only.
@@ -136,20 +157,16 @@ AttributionEngine::charge(RequestLatency &lat, AttribBucket bucket,
 
 void
 AttributionEngine::hop(RequestLatency &lat, AttribBucket bucket,
-                       const AttribHop &h, bool counted, sim::Tick now)
+                       const AttribHop &h, bool counted, sim::Tick start)
 {
-    if (lat.timeline) {
-        AttribEvent ev;
-        ev.tick = now;
-        ev.kind = AttribEvent::Kind::NetworkHop;
-        ev.bucket = bucket;
-        ev.cycles = h.total();
-        ev.hopFrom = h.from;
-        ev.hopTo = h.to;
-        ev.hopWait = static_cast<float>(h.wait);
-        ev.hopSer = static_cast<float>(h.ser);
-        ev.hopProp = static_cast<float>(h.prop);
-        lat.timeline->events.push_back(ev);
+    if (AttribEvent *ev = note(lat, start, AttribEvent::Kind::NetworkHop,
+                               h.total(), bucket)) {
+        ev->uncounted = !counted;
+        ev->hopFrom = h.from;
+        ev->hopTo = h.to;
+        ev->hopWait = static_cast<float>(h.wait);
+        ev->hopSer = static_cast<float>(h.ser);
+        ev->hopProp = static_cast<float>(h.prop);
     }
     if (!counted)
         return;
@@ -170,8 +187,7 @@ AttributionEngine::shortCircuited(RequestLatency &lat, double est_saved,
 {
     ++table_.shortCircuits;
     table_.shortCircuitSavedEstCycles += est_saved;
-    note(lat, now, AttribEvent::Kind::ShortCircuit,
-         AttribBucket::PrtLookup, est_saved);
+    note(lat, now, AttribEvent::Kind::ShortCircuit, est_saved);
 }
 
 void
@@ -182,8 +198,7 @@ AttributionEngine::forwardLaunched(RequestLatency &lat, sim::Tick now)
     lat.race = RequestLatency::Race::Open;
     lat.tForward = now;
     ++table_.forwards;
-    note(lat, now, AttribEvent::Kind::ForwardLaunched, AttribBucket::Other,
-         0);
+    note(lat, now, AttribEvent::Kind::ForwardLaunched, 0);
 }
 
 void
@@ -198,8 +213,7 @@ AttributionEngine::forwardOutcome(RequestLatency &lat, bool success,
         ++table_.failedForwards;
         table_.forwardWastedCycles += remote_service;
         closeRace(lat);
-        note(lat, now, AttribEvent::Kind::ForwardFailed,
-             AttribBucket::Other, remote_service);
+        note(lat, now, AttribEvent::Kind::ForwardFailed, remote_service);
     } else if (won) {
         ++table_.remoteWins;
         table_.forwardSavedEstCycles += est_saved;
@@ -212,16 +226,14 @@ AttributionEngine::forwardOutcome(RequestLatency &lat, bool success,
             closeRace(lat);
         else
             lat.race = RequestLatency::Race::RemoteWon;
-        note(lat, now, AttribEvent::Kind::RemoteWon, AttribBucket::Other,
-             est_saved);
+        note(lat, now, AttribEvent::Kind::RemoteWon, est_saved);
     } else {
         // The host walk already resolved the request: this forward's
         // remote service bought nothing.
         ++table_.hostWins;
         table_.forwardWastedCycles += remote_service;
         closeRace(lat);
-        note(lat, now, AttribEvent::Kind::HostWon, AttribBucket::Other,
-             remote_service);
+        note(lat, now, AttribEvent::Kind::HostWon, remote_service);
     }
 }
 
@@ -236,8 +248,7 @@ AttributionEngine::hostWalkDone(RequestLatency &lat, bool duplicate,
         ++table_.duplicateHostWalks;
         table_.forwardSavedCycles += saved;
         closeRace(lat);
-        note(lat, now, AttribEvent::Kind::DuplicateHostWalk,
-             AttribBucket::Other, saved);
+        note(lat, now, AttribEvent::Kind::DuplicateHostWalk, saved);
     }
 }
 
@@ -250,8 +261,7 @@ AttributionEngine::hostWalkCancelled(RequestLatency &lat, double est_walk,
         ++table_.cancelledHostWalks;
         table_.forwardSavedEstCycles += est_walk;
         closeRace(lat);
-        note(lat, now, AttribEvent::Kind::HostWalkCancelled,
-             AttribBucket::Other, est_walk);
+        note(lat, now, AttribEvent::Kind::HostWalkCancelled, est_walk);
     }
 }
 
@@ -261,14 +271,13 @@ AttributionEngine::finish(RequestLatency &lat, int gpu, std::uint64_t id,
 {
     if (lat.finished)
         return;
-    lat.finished = true;
     double total = lat.total();
+    note(lat, now, AttribEvent::Kind::Finish, total);
+    lat.finished = true;
     if (Timeline *tl = lat.timeline) {
+        tl->finished = true;
         tl->tFinish = now;
-        std::copy(std::begin(lat.bucket), std::end(lat.bucket),
-                  std::begin(tl->bucket));
     }
-    note(lat, now, AttribEvent::Kind::Finish, AttribBucket::Other, total);
 
     ++table_.requests;
     for (std::size_t i = 0; i < kNumAttribBuckets; ++i)
@@ -287,8 +296,91 @@ AttributionEngine::finish(RequestLatency &lat, int gpu, std::uint64_t id,
 const Timeline *
 AttributionEngine::timeline(int gpu, std::uint64_t id) const
 {
-    auto it = timelines_.find(key(gpu, id));
-    return it == timelines_.end() ? nullptr : &it->second;
+    for (const Timeline &tl : timelines_)
+        if (tl.gpu == gpu && tl.id == id)
+            return &tl;
+    return nullptr;
+}
+
+void
+writeChromeTrace(std::ostream &os, const AttributionEngine &attrib,
+                 const IntervalSampler *sampler)
+{
+    constexpr int kMetricsPid = 1002; // the counter tracks' process
+    const char *sep = "\n";
+    auto field = [&](const char *key, double v) {
+        os << ",\"" << key << "\":";
+        jsonNumber(os, v);
+    };
+    // Opens one event; the caller adds its fields and closes it.
+    auto open = [&](const std::string &name, const char *ph, int pid,
+                    std::uint64_t tid) {
+        os << sep << "{\"name\":";
+        sep = ",\n";
+        jsonEscape(os, name);
+        os << ",\"ph\":\"" << ph << "\",\"pid\":" << pid
+           << ",\"tid\":" << tid;
+    };
+    auto slice = [&](const char *name, const Timeline &tl, sim::Tick start,
+                     double dur) {
+        open(name, "X", tl.gpu, tl.id);
+        os << ",\"cat\":\"xlat\",\"ts\":" << start;
+        field("dur", dur);
+        os << ",\"args\":{\"vpn\":" << tl.vpn;
+    };
+
+    os << "{\"traceEvents\":[";
+    std::set<int> gpus;
+    for (const Timeline &tl : attrib.timelines()) {
+        if (gpus.insert(tl.gpu).second) {
+            open("process_name", "M", tl.gpu, 0);
+            os << ",\"args\":{\"name\":\"gpu" << tl.gpu << "\"}}";
+        }
+        if (tl.finished) {
+            const auto b = tl.buckets();
+            slice("xlat", tl, tl.tIssue,
+                  static_cast<double>(tl.tFinish - tl.tIssue));
+            field("charged", std::accumulate(b.begin(), b.end(), 0.0));
+            os << "}}";
+        }
+        tl.forEachSlice([&](const char *name, sim::Tick start, double dur,
+                            const AttribEvent &ev) {
+            using Kind = AttribEvent::Kind;
+            slice(name, tl, start, dur);
+            if (ev.kind == Kind::NetworkHop) {
+                field("from", ev.hopFrom);
+                field("to", ev.hopTo);
+                field("wait", ev.hopWait);
+                field("ser", ev.hopSer);
+                field("prop", ev.hopProp);
+            } else if (ev.kind != Kind::Charge) {
+                os << ",\"outcome\":\""
+                   << (ev.kind == Kind::ForwardFailed ? "failed"
+                       : ev.kind == Kind::RemoteWon   ? "remoteWon"
+                                                      : "hostWon")
+                   << '"';
+            }
+            os << (ev.late ? ",\"late\":true" : "")
+               << (ev.uncounted ? ",\"uncounted\":true" : "") << "}}";
+        });
+    }
+
+    // Perfetto keys counter tracks on (pid, name): one "C" event per
+    // (row, column) of the sampler.
+    if (sampler && sampler->rows() && sampler->columns()) {
+        open("process_name", "M", kMetricsPid, 0);
+        os << ",\"args\":{\"name\":\"metrics\"}}";
+        for (std::size_t row = 0; row < sampler->rows(); ++row) {
+            for (std::size_t col = 0; col < sampler->columns(); ++col) {
+                open(sampler->columnName(col), "C", kMetricsPid, 0);
+                os << ",\"cat\":\"metrics\",\"ts\":"
+                   << sampler->rowTick(row) << ",\"args\":{\"value\":";
+                jsonNumber(os, sampler->cell(row, col));
+                os << "}}";
+            }
+        }
+    }
+    os << "\n]}\n";
 }
 
 } // namespace transfw::obs

@@ -1,9 +1,11 @@
 #ifndef TRANSFW_OBS_ATTRIB_HPP
 #define TRANSFW_OBS_ATTRIB_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
+#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 namespace transfw::obs {
 
 class Checks;
+class IntervalSampler;
 
 /**
  * Exhaustive, mutually-exclusive latency buckets for one translation.
@@ -158,8 +161,10 @@ struct AttribHop
 /** One step of a request's causal timeline (kept on demand). */
 struct AttribEvent
 {
+    /** Charge and NetworkHop: when the phase began, so it spans
+     *  [tick, tick + cycles]. Every other kind: when it happened. */
     sim::Tick tick = 0;
-    AttribBucket bucket = AttribBucket::Other; ///< for Charge events
+    AttribBucket bucket = AttribBucket::Other; ///< Charge / NetworkHop
     enum class Kind : std::uint8_t
     {
         Charge,
@@ -173,6 +178,12 @@ struct AttribEvent
         Finish,
         NetworkHop, ///< one traversed edge (hop fields below are valid)
     } kind = Kind::Charge;
+    /** Booked after the request finished (a race loser in flight);
+     *  a late charge is off the request's buckets. */
+    bool late = false;
+    /** Timeline-only hop (a migration payload edge): its cycles sit
+     *  inside a Migration charge and are not in the buckets again. */
+    bool uncounted = false;
     double cycles = 0;
     // --- NetworkHop only ---------------------------------------------------
     std::int16_t hopFrom = 0;
@@ -185,11 +196,42 @@ struct AttribEvent
 /** One request's causal timeline (AttributionEngine keepTimelines). */
 struct Timeline
 {
+    int gpu = 0;
+    bool finished = false;
+    std::uint64_t id = 0;
     std::uint64_t vpn = 0;
     sim::Tick tIssue = 0;
     sim::Tick tFinish = 0;
-    double bucket[kNumAttribBuckets] = {}; ///< bucket sums at finish
     std::vector<AttribEvent> events;
+
+    /** The request's bucket sums, added up from its charged events in
+     *  booking order, so they equal RequestLatency::bucket exactly. */
+    std::array<double, kNumAttribBuckets> buckets() const;
+
+    /**
+     * Calls fn(name, start, dur, event) for each phase the timeline
+     * draws: every Charge and NetworkHop event over [tick, tick +
+     * cycles], named by its bucket, and every forward as "forward"
+     * from its launch to its outcome event. The trace export and the
+     * timeline check both draw phases through this.
+     */
+    template <class Fn>
+    void
+    forEachSlice(Fn &&fn) const
+    {
+        using Kind = AttribEvent::Kind;
+        sim::Tick launched = 0;
+        for (const AttribEvent &ev : events) {
+            if (ev.kind == Kind::Charge || ev.kind == Kind::NetworkHop)
+                fn(bucketName(ev.bucket), ev.tick, ev.cycles, ev);
+            else if (ev.kind == Kind::ForwardLaunched)
+                launched = ev.tick;
+            else if (ev.kind == Kind::ForwardFailed ||
+                     ev.kind == Kind::RemoteWon || ev.kind == Kind::HostWon)
+                fn("forward", launched,
+                   static_cast<double>(ev.tick - launched), ev);
+        }
+    }
 };
 
 /**
@@ -263,9 +305,15 @@ struct RequestLatency
 class AttributionEngine
 {
   public:
-    /** Retain per-request timelines (explain_request). Off by default;
-     *  set before the run, because it only affects requests begun
-     *  afterwards. */
+    /** Cap on kept timelines. A default MT Trans-FW request keeps
+     *  about 14 events, some 0.7 KB, so the cap bounds a run's
+     *  timelines near 200 MB. */
+    static constexpr std::size_t kMaxTimelines = std::size_t{1} << 18;
+
+    /** Retain per-request timelines (explain_request, the Perfetto
+     *  export). Off by default; set before the run, because it only
+     *  affects requests begun afterwards. Requests begun once
+     *  kMaxTimelines are kept get none and are counted as dropped. */
     void setKeepTimelines(bool on) { keepTimelines_ = on; }
     bool keepTimelines() const { return keepTimelines_; }
 
@@ -283,19 +331,20 @@ class AttributionEngine
             openTimeline(lat, gpu, id, vpn, now);
     }
     /** A charge onto a finished request (booked late, off the table)
-     *  or a traced one (also noted on its timeline). */
+     *  or a traced one (also noted on its timeline). @p start is when
+     *  the charged phase began. */
     void charge(RequestLatency &lat, AttribBucket bucket, double cycles,
-                sim::Tick now);
+                sim::Tick start);
     /**
-     * One traversed edge of a routed message carrying this request.
-     * When @p counted is true this *is* the charge — the hop's total
-     * lands in @p bucket and in the request's per-hop sum, exactly as
-     * mmu::chargeHop() adds it. When false the hop is timeline-only
-     * (migration payload hops, which stay charged as one Migration
-     * lump).
+     * One traversed edge of a routed message carrying this request,
+     * entered at @p start. When @p counted is true this *is* the
+     * charge — the hop's total lands in @p bucket and in the request's
+     * per-hop sum, exactly as mmu::chargeHop() adds it. When false the
+     * hop is timeline-only (migration payload hops, which stay charged
+     * as one Migration lump).
      */
     void hop(RequestLatency &lat, AttribBucket bucket, const AttribHop &h,
-             bool counted, sim::Tick now);
+             bool counted, sim::Tick start);
     void shortCircuited(RequestLatency &lat, double est_saved,
                         sim::Tick now);
     void forwardLaunched(RequestLatency &lat, sim::Tick now);
@@ -322,6 +371,10 @@ class AttributionEngine
     const AttributionTable &table() const { return table_; }
 
     // --- timeline access (keepTimelines mode) ------------------------------
+    /** Kept timelines, in the order their requests began. */
+    const std::deque<Timeline> &timelines() const { return timelines_; }
+    /** Requests begun past the cap, which got no timeline. */
+    std::uint64_t droppedTimelines() const { return droppedTimelines_; }
     /** Timeline of one request, or nullptr (unknown / not kept). */
     const Timeline *timeline(int gpu, std::uint64_t id) const;
     /** (gpu, id) of the slowest finished request; gpu < 0 when none. */
@@ -332,28 +385,41 @@ class AttributionEngine
     }
 
   private:
-    static std::uint64_t
-    key(int gpu, std::uint64_t id)
-    {
-        return (static_cast<std::uint64_t>(gpu + 1) << 48) | id;
-    }
-
     void openTimeline(RequestLatency &lat, int gpu, std::uint64_t id,
                       std::uint64_t vpn, sim::Tick now);
-    void note(RequestLatency &lat, sim::Tick tick, AttribEvent::Kind kind,
-              AttribBucket bucket, double cycles);
+    /** Appends an event to a kept timeline; nullptr when none is kept. */
+    AttribEvent *note(RequestLatency &lat, sim::Tick tick,
+                      AttribEvent::Kind kind, double cycles,
+                      AttribBucket bucket = AttribBucket::Other);
     void closeRace(RequestLatency &lat);
 
     bool keepTimelines_ = false;
     Checks *checks_ = nullptr;
     AttributionTable table_;
     std::uint64_t openRaces_ = 0;
-    /** Node-based so RequestLatency::timeline stays valid. */
-    std::unordered_map<std::uint64_t, Timeline> timelines_;
+    /** A deque, so RequestLatency::timeline stays valid as it grows. */
+    std::deque<Timeline> timelines_;
+    std::uint64_t droppedTimelines_ = 0;
     double slowestWall_ = -1.0;
     int slowestGpu_ = -1;
     std::uint64_t slowestId_ = 0;
 };
+
+/**
+ * Export kept timelines as Chrome trace-event JSON, which
+ * ui.perfetto.dev (or chrome://tracing) loads directly; ticks map 1:1
+ * onto trace microseconds. One process per GPU and one thread per
+ * request: an "xlat" root slice over [tIssue, tFinish] with the vpn and
+ * charged total in its args, one slice per charge (named by
+ * bucketName()), one per network hop (from/to and the wait/ser/prop
+ * split in its args) and a "forward" slice from launch to outcome.
+ * Slices booked after the finish and uncounted hops carry a "late" or
+ * "uncounted" tag in their args. When
+ * @p sampler is non-null its columns export as counter tracks of a
+ * "metrics" process, so queue depths plot under the requests.
+ */
+void writeChromeTrace(std::ostream &os, const AttributionEngine &attrib,
+                      const IntervalSampler *sampler = nullptr);
 
 } // namespace transfw::obs
 

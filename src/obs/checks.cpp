@@ -1,30 +1,11 @@
 #include "obs/checks.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <string_view>
 
-#include "sim/flat_map.hpp"
 #include "sim/logging.hpp"
 
 namespace transfw::obs {
-
-namespace {
-
-/** Spans allowed to overhang their lane's "xlat" root: race losers and
- *  remote service that legitimately outlive the request they belong to
- *  under first-reply-wins, plus borrowed-GMMU lanes where a remote
- *  request's spans share a (pid, tid) lane with a local request. */
-bool
-mayOverhang(std::string_view name)
-{
-    return name == "host.forward" || name == "host.forward.fail" ||
-           name == "driver.forward" || name == "driver.forward.fail" ||
-           name == "gmmu.remote.queue" || name == "gmmu.remote.walk" ||
-           name == "host.walk" || name == "host.queue";
-}
-
-} // namespace
 
 void
 Checks::violation(const std::string &msg)
@@ -88,55 +69,45 @@ Checks::onFinish(int gpu, std::uint64_t id, const RequestLatency &lat,
 }
 
 std::uint64_t
-Checks::verifySpanNesting(const SpanRecorder &spans)
+Checks::verifyTimelines(const AttributionEngine &attrib)
 {
-#if TRANSFW_OBS
-    if (spans.dropped() > 0)
-        return 0; // truncated lanes would alias as nesting breaks
-    struct Lane
-    {
-        const Span *root = nullptr;
-        std::vector<const Span *> children;
-    };
-    sim::FlatMap<std::uint64_t, Lane> lanes;
-    for (const Span &s : spans.spans()) {
-        if (s.pid >= SpanRecorder::kHostPid)
-            continue; // host/obs lanes interleave requests; no root
-        std::uint64_t lane_key =
-            (static_cast<std::uint64_t>(s.pid) << 48) | s.tid;
-        Lane &lane = lanes[lane_key];
-        if (std::string_view(s.name) == "xlat")
-            lane.root = &s;
-        else
-            lane.children.push_back(&s);
-    }
-
-    std::uint64_t before = violations_;
-    for (const auto &kv : lanes) {
-        const Lane &lane = kv.second;
-        if (!lane.root)
-            continue; // request never finished (or non-request lane)
-        for (const Span *c : lane.children) {
-            bool nests = c->start >= lane.root->start &&
-                         c->end <= lane.root->end;
-            if (!nests && !mayOverhang(c->name)) {
-                violation(sim::strfmt(
-                    "span '%s' [%llu, %llu] escapes its xlat root "
-                    "[%llu, %llu] (pid %u tid %llu)",
-                    c->name,
-                    static_cast<unsigned long long>(c->start),
-                    static_cast<unsigned long long>(c->end),
-                    static_cast<unsigned long long>(lane.root->start),
-                    static_cast<unsigned long long>(lane.root->end),
-                    c->pid, static_cast<unsigned long long>(c->tid)));
-            }
-        }
+    using Kind = AttribEvent::Kind;
+    const std::uint64_t before = violations_;
+    for (const Timeline &tl : attrib.timelines()) {
+        if (!tl.finished)
+            continue;
+        const bool raced = std::any_of(
+            tl.events.begin(), tl.events.end(), [](const AttribEvent &ev) {
+                return ev.kind == Kind::ForwardLaunched;
+            });
+        tl.forEachSlice([&](const char *name, sim::Tick start, double dur,
+                            const AttribEvent &ev) {
+            // A forward, the race's losing side, and the shootdown that
+            // a remote win overlaps with the owner's page push
+            // (uvm::MigrationEngine::migrate) may run past the finish.
+            const AttribBucket b = ev.bucket;
+            const bool forward =
+                ev.kind != Kind::Charge && ev.kind != Kind::NetworkHop;
+            const bool overhang =
+                raced && (forward || b == AttribBucket::HostQueue ||
+                          b == AttribBucket::HostWalkMem ||
+                          b == AttribBucket::RemoteWalk ||
+                          b == AttribBucket::Shootdown);
+            const double end = static_cast<double>(start) + dur;
+            if (ev.late ||
+                (start >= tl.tIssue &&
+                 (overhang || end <= static_cast<double>(tl.tFinish))))
+                return;
+            violation(sim::strfmt(
+                "gpu%d req %llu: %s slice [%llu, %.0f] escapes its "
+                "request [%llu, %llu]",
+                tl.gpu, static_cast<unsigned long long>(tl.id), name,
+                static_cast<unsigned long long>(start), end,
+                static_cast<unsigned long long>(tl.tIssue),
+                static_cast<unsigned long long>(tl.tFinish)));
+        });
     }
     return violations_ - before;
-#else
-    (void)spans;
-    return 0;
-#endif
 }
 
 } // namespace transfw::obs

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/attrib.hpp"
-#include "obs/span.hpp"
 
 #ifndef TRANSFW_OBS_STRICT
 #define TRANSFW_OBS_STRICT 0
@@ -25,9 +24,9 @@ namespace transfw::obs {
  *   2. PRT-negative short circuit => no local walk or local-queue
  *      cycles were charged (the walk really was skipped).
  *
- * Plus a post-run structural pass, verifySpanNesting(): within each
- * (pid, tid) lane the "xlat" root span must enclose every child span
- * except the known race/forward overhangs that legitimately outlive
+ * Plus a post-run pass over kept timelines, verifyTimelines(): every
+ * slice the trace export draws must lie inside its request's
+ * [tIssue, tFinish], except the race losers that legitimately outlive
  * their request under first-reply-wins.
  *
  * Under TRANSFW_OBS_STRICT (sanitizer builds) a violation panics at
@@ -56,12 +55,16 @@ class Checks
                   bool short_circuit);
 
     /**
-     * Post-run structural pass over the recorded spans: every span in
-     * a (pid, tid) lane must nest inside that lane's enclosing "xlat"
-     * root. Skipped when the recorder dropped spans (truncated lanes
-     * would produce false positives). @return violations found.
+     * Post-run pass over the kept timelines of finished requests: each
+     * charge, hop and forward slice must start no earlier than its
+     * request's tIssue and end no later than its tFinish. Late charges
+     * are skipped. In a request that launched a forward, the
+     * HostQueue, HostWalkMem and RemoteWalk slices and the forward
+     * itself may end after tFinish, because the losing side of the
+     * reply race runs on; so may the Shootdown slice, which a remote
+     * win overlaps with the page push. @return violations found.
      */
-    std::uint64_t verifySpanNesting(const SpanRecorder &spans);
+    std::uint64_t verifyTimelines(const AttributionEngine &attrib);
 
   private:
     void violation(const std::string &msg);

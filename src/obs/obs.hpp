@@ -7,21 +7,19 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/self_profiler.hpp"
-#include "obs/span.hpp"
 
 namespace transfw::obs {
 
 /**
- * The per-system observability bundle: request-span recorder, unified
- * metrics registry, interval sampler, latency-attribution engine and
- * its invariant watchdog. Owned by sys::MultiGpuSystem (declared after
- * every observed component so it is destroyed first — registry gauges
- * hold raw component pointers) and handed to components as a raw
- * pointer they may ignore.
+ * The per-system observability bundle: unified metrics registry,
+ * interval sampler, latency-attribution engine (whose kept timelines
+ * are the per-request trace) and its invariant watchdog. Owned by
+ * sys::MultiGpuSystem (declared after every observed component so it
+ * is destroyed first — registry gauges hold raw component pointers)
+ * and handed to components as a raw pointer they may ignore.
  */
 struct Observability
 {
-    SpanRecorder spans;
     MetricRegistry metrics;
     IntervalSampler sampler;
     AttributionEngine attribution;

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstdint>
 
-#include "obs/span.hpp" // TRANSFW_OBS master switch
 #include "sim/event_queue.hpp"
+#include "sim/obs_switch.hpp"
 
 namespace transfw::obs {
 

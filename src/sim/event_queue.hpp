@@ -6,14 +6,8 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
+#include "sim/obs_switch.hpp"
 #include "sim/ticks.hpp"
-
-// Observability master switch. Canonically set by the build system
-// (TRANSFW_OBS=0 compiles instrumentation out); defaulting it here
-// keeps sim/ independent of the obs/ headers that also guard on it.
-#ifndef TRANSFW_OBS
-#define TRANSFW_OBS 1
-#endif
 
 namespace transfw::sim {
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "sim/logging.hpp"
 #include "workload/apps.hpp"
 
 namespace transfw::sys {
@@ -18,6 +19,20 @@ transFwConfig()
 {
     cfg::SystemConfig config = baselineConfig();
     config.transFw.enabled = true;
+    return config;
+}
+
+cfg::SystemConfig
+modeConfig(const std::string &mode)
+{
+    if (mode != "baseline" && mode != "transfw" && mode != "sw" &&
+        mode != "sw-transfw")
+        sim::fatal("unknown mode '" + mode +
+                   "' (want baseline, transfw, sw or sw-transfw)");
+    cfg::SystemConfig config =
+        mode.ends_with("transfw") ? transFwConfig() : baselineConfig();
+    if (mode.starts_with("sw"))
+        config.faultMode = cfg::FaultMode::UvmDriver;
     return config;
 }
 

@@ -17,6 +17,12 @@ cfg::SystemConfig baselineConfig();
 cfg::SystemConfig transFwConfig();
 
 /**
+ * The single-run tools' modes: "baseline", "transfw", "sw" (far faults
+ * through the UVM driver) and "sw-transfw". Any other name is fatal.
+ */
+cfg::SystemConfig modeConfig(const std::string &mode);
+
+/**
  * Run one application (Table III abbreviation) under @p config.
  * @p scale multiplies per-CTA work; scale <= 0 reads the
  * TRANSFW_SCALE environment variable (default 1.0), letting slow

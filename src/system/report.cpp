@@ -206,9 +206,6 @@ const Field kFields[] = {
     {"obs.checkedRequests", [](const SimResults &r) {
          return static_cast<double>(r.obsCheckedRequests);
      }},
-    {"obs.droppedSpans", [](const SimResults &r) {
-         return static_cast<double>(r.droppedSpans);
-     }},
 };
 
 } // namespace

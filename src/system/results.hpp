@@ -162,7 +162,6 @@ struct SimResults
     obs::AttributionTable attribution;
     std::uint64_t obsCheckViolations = 0;  ///< watchdog trips (expect 0)
     std::uint64_t obsCheckedRequests = 0;  ///< requests the watchdog saw
-    std::uint64_t droppedSpans = 0;        ///< spans lost to capacity
 
     // --- host-side execution (the ledger's wall section, except the
     //     deterministic backlog peak) -----------------------------------

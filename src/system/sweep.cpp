@@ -7,7 +7,6 @@
 #include "obs/ledger.hpp"
 #include "sim/logging.hpp"
 #include "sim/task_pool.hpp"
-#include "sim/trace.hpp"
 #include "system/experiment.hpp"
 #include "system/report.hpp"
 
@@ -79,10 +78,6 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
         stats_.executed += pending.size();
         stats_.memoHits += specs.size() - pending.size();
     }
-
-    // Force lazy trace-env init on this thread before any worker can
-    // race to it (belt and braces on top of trace.cpp's call_once).
-    sim::trace::anyEnabled();
 
     auto execute = [](Pending &p) {
         p.result = runApp(p.spec->app, p.spec->config, p.spec->scale);

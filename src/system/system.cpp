@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "sim/logging.hpp"
-#include "sim/trace.hpp"
 
 namespace transfw::sys {
 
@@ -34,15 +33,15 @@ starHop(int from, int to, sim::Tick latency, double total)
 
 MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
                                const wl::Workload &workload)
-    : cfg_(config), workload_(workload), rng_(config.seed),
+    // cfg_ is the first member: validate before any is built from it.
+    : cfg_((config.validate(), config)), workload_(workload),
+      rng_(config.seed),
       central_(config.geometry()),
       cpuFrames_(256ULL << 30, config.pageShift),
       net_(hostEq_, config.numGpus, config.hostLink, config.peerLink,
            config.peerTopology, config.meshCols, config.switchRadix),
       scheduler_(workload, config.numGpus)
 {
-    cfg_.validate();
-
     if (cfg_.transFw.enabled)
         ft_ = std::make_unique<core::FtCluster>(cfg_.transFw,
                                                 cfg_.hostShards);
@@ -96,7 +95,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
                                starHop(-1, g,
                                        net_.fromHost(g).latency(),
                                        static_cast<double>(now - t0)),
-                               now);
+                               t0);
                 gpus_[static_cast<std::size_t>(g)]->translationReturned(
                     req);
             });
@@ -117,7 +116,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
                         starHop(-1, target,
                                 net_.fromHost(target).latency(),
                                 static_cast<double>(now - t0)),
-                        now);
+                        t0);
                     gpus_[static_cast<std::size_t>(target)]
                         ->remoteLookupRequest(rl);
                 });
@@ -147,7 +146,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
                                starHop(-1, g,
                                        net_.fromHost(g).latency(),
                                        static_cast<double>(now - t0)),
-                               now);
+                               t0);
                 gpus_[static_cast<std::size_t>(g)]->translationReturned(
                     req);
             });
@@ -207,26 +206,21 @@ void
 MultiGpuSystem::setupObservability()
 {
     obs_ = std::make_unique<obs::Observability>();
-    obs_->spans.setCapacity(cfg_.obs.maxSpans);
-    obs_->spans.setEnabled(cfg_.obs.spans);
     obs_->attribution.attachChecks(&obs_->checks);
 
     obs::MetricRegistry &reg = obs_->metrics;
     for (int g = 0; g < cfg_.numGpus; ++g) {
         gpu::Gpu &gpu = *gpus_[static_cast<std::size_t>(g)];
-        gpu.attachSpans(&obs_->spans);
         gpu.attachAttribution(&obs_->attribution);
         gpu.attachProfiler(&obs_->profiler);
         gpu.registerMetrics(reg, sim::strfmt("gpu%d", g));
     }
     if (hostMmu_) {
-        hostMmu_->attachSpans(&obs_->spans);
         hostMmu_->attachAttribution(&obs_->attribution);
         hostMmu_->attachProfiler(&obs_->profiler);
         hostMmu_->registerMetrics(reg, "host.mmu");
     }
     if (driver_) {
-        driver_->attachSpans(&obs_->spans);
         driver_->attachAttribution(&obs_->attribution);
         driver_->attachProfiler(&obs_->profiler);
         driver_->registerMetrics(reg, "host.driver");
@@ -261,11 +255,8 @@ MultiGpuSystem::setupObservability()
         return static_cast<double>(peak);
     });
 
-    // Observability self-health: span loss and watchdog trips must be
-    // visible in the same exports they guard.
-    reg.registerGauge("obs.droppedSpans", [this] {
-        return static_cast<double>(obs_->spans.dropped());
-    });
+    // Observability self-health: watchdog trips must be visible in
+    // the same exports they guard.
     reg.registerGauge("obs.checks.violations", [this] {
         return static_cast<double>(obs_->checks.violations());
     });
@@ -297,6 +288,7 @@ MultiGpuSystem::setupObservability()
         sampler.addRegistryColumn(reg, "host.mmu.pwc.hitRate");
     }
     if (driver_) {
+        sampler.addRegistryColumn(reg, "host.driver.batches");
         sampler.addRegistryColumn(reg, "host.driver.walkQueueDepth");
         sampler.addRegistryColumn(reg, "host.driver.bufferedFaults");
         sampler.addRegistryColumn(reg, "host.driver.pwc.hitRate");
@@ -400,7 +392,7 @@ MultiGpuSystem::wireGpu(int g)
                 *rl->req, attribEngine(), obs::AttribBucket::Network,
                 starHop(g, -1, net_.toHost(g).latency(),
                         static_cast<double>(hostEq_.now() - t0)),
-                hostEq_.now());
+                t0);
             if (hostMmu_)
                 hostMmu_->remoteLookupDone(rl);
             else
@@ -424,7 +416,7 @@ MultiGpuSystem::sendFaultToHost(mmu::XlatPtr req)
             *req, attribEngine(), obs::AttribBucket::Network,
             starHop(req->gpu, -1, net_.toHost(req->gpu).latency(),
                     static_cast<double>(hostEq_.now() - t0)),
-            hostEq_.now());
+            t0);
         req->tHostArrive = hostEq_.now();
         if (hostMmu_)
             hostMmu_->handleFault(std::move(req));
@@ -836,15 +828,13 @@ MultiGpuSystem::collect()
     }
 
     // Latency attribution + watchdog verdicts: finalize() counts races
-    // still open after the queues drained; the span-nesting sweep runs
-    // here because it needs the full trace.
+    // still open after the queues drained; the timeline check runs
+    // here because it needs every request finished.
     obs_->attribution.finalize();
-    if (cfg_.obs.spans)
-        obs_->checks.verifySpanNesting(obs_->spans);
+    obs_->checks.verifyTimelines(obs_->attribution);
     r.attribution = obs_->attribution.table();
     r.obsCheckViolations = obs_->checks.violations();
     r.obsCheckedRequests = obs_->checks.checkedRequests();
-    r.droppedSpans = obs_->spans.dropped();
     r.peakEventBacklog = hostEq_.peakPending();
     for (auto &q : gpuQs_)
         r.peakEventBacklog += q->peakPending();

@@ -74,7 +74,7 @@ class MultiGpuSystem
     }
     const cfg::SystemConfig &config() const { return cfg_; }
 
-    /** Observability bundle: spans, metric registry, sampler. */
+    /** Observability bundle: metric registry, sampler, attribution. */
     obs::Observability &obs() { return *obs_; }
     const obs::Observability &obs() const { return *obs_; }
 

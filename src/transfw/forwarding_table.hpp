@@ -8,9 +8,9 @@
 #include "filter/cuckoo_filter.hpp"
 #include "mem/address.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/topk.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/obs_switch.hpp"
 #include "sim/random.hpp"
 
 namespace transfw::core {

@@ -9,9 +9,9 @@
 #include "config/config.hpp"
 #include "mem/address.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp" // TRANSFW_OBS master switch
 #include "obs/topk.hpp"
 #include "sim/logging.hpp"
+#include "sim/obs_switch.hpp"
 #include "transfw/forwarding_table.hpp"
 
 namespace transfw::core {

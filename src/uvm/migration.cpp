@@ -1,7 +1,6 @@
 #include "uvm/migration.hpp"
 
 #include "sim/logging.hpp"
-#include "sim/trace.hpp"
 #include "transfw/prt.hpp"
 
 namespace transfw::uvm {
@@ -113,7 +112,7 @@ MigrationEngine::releasePage(mem::Vpn vpn)
             mmu::charge(*pending.req, attrib_,
                         obs::AttribBucket::Migration,
                         static_cast<double>(curTick() - pending.parked),
-                        curTick());
+                        pending.parked);
             resolve(std::move(pending.req), std::move(pending.done));
         }
     });
@@ -231,8 +230,6 @@ MigrationEngine::migrate(mmu::XlatPtr req, mem::PageInfo &info,
     ++stats_.migrations;
     int dst = req->gpu;
     int src = info.owner;
-    TFW_TRACE(eventq(), "migration", "migrate vpn=%llx %d -> %d",
-              static_cast<unsigned long long>(req->vpn), src, dst);
 
     // Invalidate every stale copy before the data moves.
     mmu::charge(*req, attrib_, obs::AttribBucket::Shootdown,
@@ -262,8 +259,7 @@ MigrationEngine::migrate(mmu::XlatPtr req, mem::PageInfo &info,
                  [this, req, done = std::move(done), dst,
                   start]() mutable {
             mmu::charge(*req, attrib_, obs::AttribBucket::Migration,
-                        static_cast<double>(curTick() - start),
-                        curTick());
+                        static_cast<double>(curTick() - start), start);
             tlb::TlbEntry entry = mapLocal(dst, req->vpn, true);
             mem::PageInfo *info = central_.lookup(req->vpn);
             info->owner = dst;
@@ -301,7 +297,7 @@ MigrationEngine::replicate(mmu::XlatPtr req, mem::PageInfo &info,
              [this, req, done = std::move(done), dst,
               start]() mutable {
         mmu::charge(*req, attrib_, obs::AttribBucket::Migration,
-                    static_cast<double>(curTick() - start), curTick());
+                    static_cast<double>(curTick() - start), start);
         tlb::TlbEntry entry = mapLocal(dst, req->vpn, false);
         complete(req->vpn, entry, std::move(done));
     }, req);
@@ -368,7 +364,7 @@ MigrationEngine::writeUpgrade(mmu::XlatPtr req, mem::PageInfo &info,
                                       obs::AttribBucket::Migration,
                                       static_cast<double>(curTick() -
                                                           start),
-                                      curTick());
+                                      start);
                                   finish();
                               },
                               req);

@@ -1,7 +1,6 @@
 #include "uvm/uvm_driver.hpp"
 
 #include "sim/logging.hpp"
-#include "sim/trace.hpp"
 
 namespace transfw::uvm {
 
@@ -75,9 +74,6 @@ UvmDriver::processNextBatch()
     ++stats_.batches;
     Batch batch = std::move(batchQueue_.front());
     batchQueue_.pop_front();
-    TFW_TRACE(eventq(), "driver", "batch %llu: %zu faults",
-              static_cast<unsigned long long>(stats_.batches),
-              batch.faults.size());
     stats_.batchSize.record(static_cast<double>(batch.faults.size()));
     batchStart_ = curTick();
 
@@ -99,10 +95,7 @@ UvmDriver::dispatchWalks()
         walkQueue_.pop_front();
         sim::Tick wait = curTick() - req->tHostArrive;
         charge(*req, attrib_, obs::AttribBucket::HostQueue,
-               static_cast<double>(wait), curTick());
-        if (spans_)
-            spans_->record("driver.queue", req->gpu, req->id,
-                           req->tHostArrive, curTick(), req->vpn);
+               static_cast<double>(wait), req->tHostArrive);
         startWalk(std::move(req));
     }
     if (walkQueue_.empty() && processing_) {
@@ -113,9 +106,6 @@ UvmDriver::dispatchWalks()
         processing_ = false;
         stats_.batchLatency.record(
             static_cast<double>(curTick() - batchStart_));
-        if (spans_)
-            spans_->record("driver.batch", obs::SpanRecorder::kHostPid,
-                           stats_.batches, batchStart_, curTick());
         processNextBatch();
     }
 }
@@ -143,7 +133,6 @@ UvmDriver::startWalk(mmu::XlatPtr req)
                 mmu::RemoteLookupPtr rl = mmu::makeRemoteLookup();
                 rl->req = req;
                 rl->targetGpu = *owner;
-                rl->tForwarded = curTick();
                 if (attrib_)
                     attrib_->forwardLaunched(req->lat, curTick());
                 // Handed off: the thread is released and the fault no
@@ -183,9 +172,6 @@ UvmDriver::softwareWalk(mmu::XlatPtr req)
         static_cast<sim::Tick>(walk.accesses) * cfg_.memLatency;
     charge(*req, attrib_, obs::AttribBucket::HostWalkMem,
            static_cast<double>(latency), curTick());
-    if (spans_)
-        spans_->record("driver.walk", req->gpu, req->id, curTick(),
-                       curTick() + latency, req->vpn);
     int start_node =
         hit_level ? hit_level - 1 : central_.geometry().levels;
     schedule(latency, [this, req, walk, start_node]() mutable {
@@ -221,11 +207,6 @@ UvmDriver::remoteLookupDone(mmu::RemoteLookupPtr rl)
 {
     obs::ProfScope prof(profiler_, obs::ProfBucket::Forwarding);
     mmu::XlatPtr req = rl->req;
-    if (spans_)
-        spans_->record(rl->success ? "driver.forward"
-                                   : "driver.forward.fail",
-                       req->gpu, req->id, rl->tForwarded, curTick(),
-                       req->vpn);
     if (!rl->success) {
         // FT false positive: fall back to a software walk (the
         // remoteForwarded flag keeps startWalk from re-forwarding).

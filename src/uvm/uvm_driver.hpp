@@ -10,7 +10,6 @@
 #include "mmu/request.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_profiler.hpp"
-#include "obs/span.hpp"
 #include "pwc/pwc.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/random.hpp"
@@ -62,8 +61,6 @@ class UvmDriver : public sim::SimObject
 
     const Stats &stats() const { return stats_; }
 
-    /** Observability: record lifecycle spans into @p spans (nullable). */
-    void attachSpans(obs::SpanRecorder *spans) { spans_ = spans; }
     /** Observability: race ledger and late charges (nullable). */
     void attachAttribution(obs::AttributionEngine *attrib)
     {
@@ -118,7 +115,6 @@ class UvmDriver : public sim::SimObject
     sim::FlatMap<mem::Vpn, std::vector<mmu::XlatPtr>> inflight_;
 
     Stats stats_;
-    obs::SpanRecorder *spans_ = nullptr;
     obs::AttributionEngine *attrib_ = nullptr;
     obs::SelfProfiler *profiler_ = nullptr;
 };

@@ -264,18 +264,24 @@ TEST(AttributionEngine, TimelinesRecordCausalEvents)
 
     mmu::XlatPtr req = request(9);
     eng.begin(req->lat, 2, 9, 0x90, 1000);
-    mmu::charge(*req, &eng, obs::AttribBucket::PrtLookup, 1, 1001);
+    mmu::charge(*req, &eng, obs::AttribBucket::PrtLookup, 1, 1000);
     eng.shortCircuited(req->lat, 600, 1001);
-    mmu::chargeHop(*req, &eng, kNetwork, ctrlHop(), 1153);
+    mmu::chargeHop(*req, &eng, kNetwork, ctrlHop(), 1001);
     eng.finish(req->lat, 2, 9, true, 1200);
 
     const obs::Timeline *tl = eng.timeline(2, 9);
     ASSERT_NE(tl, nullptr);
+    EXPECT_EQ(tl->gpu, 2);
+    EXPECT_EQ(tl->id, 9u);
     EXPECT_EQ(tl->vpn, 0x90u);
     EXPECT_EQ(tl->tIssue, 1000u);
+    EXPECT_TRUE(tl->finished);
     EXPECT_EQ(tl->tFinish, 1200u);
-    EXPECT_DOUBLE_EQ(tl->bucket[kNet], 152.0);
+    EXPECT_DOUBLE_EQ(tl->buckets()[kNet], 152.0);
+    EXPECT_EQ(eng.timeline(2, 10), nullptr);
     ASSERT_EQ(tl->events.size(), 4u);
+    EXPECT_EQ(tl->events[0].tick, 1000u); // phases keep their start tick
+    EXPECT_EQ(tl->events[2].tick, 1001u);
     EXPECT_EQ(tl->events[1].kind, obs::AttribEvent::Kind::ShortCircuit);
     EXPECT_EQ(tl->events[2].kind, obs::AttribEvent::Kind::NetworkHop);
     EXPECT_EQ(tl->events.back().kind, obs::AttribEvent::Kind::Finish);
@@ -286,6 +292,59 @@ TEST(AttributionEngine, TimelinesRecordCausalEvents)
     // Traced charges land in the request's buckets like plain ones.
     EXPECT_DOUBLE_EQ(eng.table().bucketTotal(), 153.0);
     EXPECT_DOUBLE_EQ(req->lat.netHopCycles, 152.0);
+}
+
+TEST(AttributionEngine, TimelineTagsLateChargesAndUncountedHops)
+{
+    obs::AttributionEngine eng;
+    eng.setKeepTimelines(true);
+
+    mmu::XlatPtr req = request(5);
+    eng.begin(req->lat, 0, 5, 0x50, 0);
+    mmu::charge(*req, &eng, obs::AttribBucket::HostQueue, 30, 10);
+    eng.hop(req->lat, obs::AttribBucket::Migration, ctrlHop(),
+            /*counted=*/false, 40);
+    mmu::charge(*req, &eng, obs::AttribBucket::Migration, 152, 40);
+    eng.finish(req->lat, 0, 5, false, 300);
+    mmu::charge(*req, &eng, obs::AttribBucket::HostWalkMem, 500, 250);
+
+    const obs::Timeline *tl = eng.timeline(0, 5);
+    ASSERT_NE(tl, nullptr);
+    ASSERT_EQ(tl->events.size(), 5u);
+    EXPECT_TRUE(tl->events[1].uncounted);
+    EXPECT_FALSE(tl->events[2].late);
+    EXPECT_FALSE(tl->events[3].late); // the Finish itself
+    EXPECT_TRUE(tl->events[4].late);
+    // The event sums are the request's buckets: the payload hop is
+    // inside the Migration lump and the late walk stays off.
+    const auto buckets = tl->buckets();
+    for (std::size_t b = 0; b < obs::kNumAttribBuckets; ++b)
+        EXPECT_EQ(buckets[b], req->lat.bucket[b])
+            << obs::bucketName(static_cast<obs::AttribBucket>(b));
+    EXPECT_DOUBLE_EQ(tl->events[3].cycles, 182.0); // Finish: the total
+}
+
+TEST(AttributionEngine, TimelineCapDropsAndCounts)
+{
+    constexpr std::size_t kCap = obs::AttributionEngine::kMaxTimelines;
+    obs::AttributionEngine eng;
+    eng.setKeepTimelines(true);
+    for (std::uint64_t id = 1; id <= kCap; ++id) {
+        obs::RequestLatency lat;
+        eng.begin(lat, 0, id, id, id);
+    }
+    // Past the cap: no timeline, yet attributed in full.
+    mmu::XlatPtr dropped = request(kCap + 1);
+    eng.begin(dropped->lat, 0, kCap + 1, 0x1, 10);
+    EXPECT_EQ(dropped->lat.timeline, nullptr);
+    mmu::charge(*dropped, &eng, obs::AttribBucket::Replay, 3, 10);
+    eng.finish(dropped->lat, 0, kCap + 1, false, 13);
+
+    EXPECT_EQ(eng.timelines().size(), kCap);
+    EXPECT_EQ(eng.droppedTimelines(), 1u);
+    EXPECT_EQ(eng.timeline(0, kCap + 1), nullptr);
+    EXPECT_EQ(eng.table().requests, 1u);
+    EXPECT_DOUBLE_EQ(eng.table().bucketTotal(), 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,89 +417,92 @@ TEST(ObsChecks, CatchesLocalWalkOnShortCircuit)
 
     EXPECT_EQ(checks.violations(), 1u);
 }
+
+TEST(ObsChecks, TimelineCheckPassesAndFails)
+{
+    obs::AttributionEngine eng;
+    eng.setKeepTimelines(true);
+    constexpr auto kWalk = obs::AttribBucket::GmmuWalkMem;
+
+    // Request 1: its queue wait and walk lie inside [100, 400].
+    mmu::XlatPtr clean = request(1);
+    eng.begin(clean->lat, 0, 1, 0x1, 100);
+    mmu::charge(*clean, &eng, obs::AttribBucket::GmmuQueue, 40, 110);
+    mmu::charge(*clean, &eng, kWalk, 150, 150);
+    eng.finish(clean->lat, 0, 1, false, 400);
+    obs::Checks checks;
+    EXPECT_EQ(checks.verifyTimelines(eng), 0u);
+
+    // Request 2: a walk that runs past the finish, with no forward to
+    // excuse it. Request 3: a charge starting before its tIssue.
+    mmu::XlatPtr late_walk = request(2);
+    eng.begin(late_walk->lat, 0, 2, 0x2, 480);
+    mmu::charge(*late_walk, &eng, kWalk, 400, 500);
+    eng.finish(late_walk->lat, 0, 2, false, 700);
+    mmu::XlatPtr early = request(3);
+    eng.begin(early->lat, 1, 3, 0x3, 1000);
+    mmu::charge(*early, &eng, obs::AttribBucket::HostQueue, 50, 990);
+    eng.finish(early->lat, 1, 3, false, 1200);
+
+    EXPECT_EQ(checks.verifyTimelines(eng), 2u);
+    ASSERT_EQ(checks.messages().size(), 2u);
+    EXPECT_NE(checks.messages()[0].find("gpu0 req 2: gmmuWalkMem"),
+              std::string::npos)
+        << checks.messages()[0];
+    EXPECT_NE(checks.messages()[1].find("gpu1 req 3: hostQueue"),
+              std::string::npos)
+        << checks.messages()[1];
+}
+
+TEST(ObsChecks, TimelineCheckKeepsCheckingPastTheCap)
+{
+    obs::AttributionEngine eng;
+    eng.setKeepTimelines(true);
+    // The first request's walk runs past its finish.
+    mmu::XlatPtr bad = request(1);
+    eng.begin(bad->lat, 0, 1, 0x1, 100);
+    mmu::charge(*bad, &eng, obs::AttribBucket::GmmuWalkMem, 500, 100);
+    eng.finish(bad->lat, 0, 1, false, 200);
+    for (std::uint64_t id = 2;
+         id <= obs::AttributionEngine::kMaxTimelines + 2; ++id) {
+        obs::RequestLatency lat;
+        eng.begin(lat, 0, id, id, 300);
+    }
+    // Two requests got no timeline, yet the kept ones are still checked.
+    obs::Checks checks;
+    EXPECT_EQ(eng.droppedTimelines(), 2u);
+    EXPECT_EQ(checks.verifyTimelines(eng), 1u);
+}
 #endif // !TRANSFW_OBS_STRICT
 
-// Span recording compiles out under -DTRANSFW_OBS=OFF; attribution
-// does not.
-#if TRANSFW_OBS
-
-TEST(ObsChecks, SpanNestingPassesAndFails)
+TEST(ObsChecks, TimelineCheckSkipsLateChargesAndRaceOverhangs)
 {
-    obs::SpanRecorder rec;
-    rec.setEnabled(true);
+    obs::AttributionEngine eng;
+    eng.setKeepTimelines(true);
 
-    // Lane (0, 1): children nest inside the xlat root.
-    rec.record("gmmu.queue", 0, 1, 110, 150, 0x1);
-    rec.record("gmmu.walk", 0, 1, 150, 300, 0x1);
-    rec.record("xlat", 0, 1, 100, 400, 0x1);
-    // Lane (0, 2): a child escapes its root.
-    rec.record("gmmu.walk", 0, 2, 500, 900, 0x2);
-    rec.record("xlat", 0, 2, 480, 700, 0x2);
-    // Lane (0, 3): race-loser overhang is explicitly allowed.
-    rec.record("host.walk", 0, 3, 1000, 1500, 0x3);
-    rec.record("xlat", 0, 3, 950, 1200, 0x3);
+    // A forward races the host walk; the remote reply wins at 250 and
+    // the request finishes at 300, while its host walk runs to 600.
+    mmu::XlatPtr raced = request(1);
+    eng.begin(raced->lat, 0, 1, 0x1, 0);
+    eng.forwardLaunched(raced->lat, 50);
+    mmu::charge(*raced, &eng, obs::AttribBucket::HostQueue, 40, 60);
+    mmu::charge(*raced, &eng, obs::AttribBucket::HostWalkMem, 500, 100);
+    eng.forwardOutcome(raced->lat, true, true, 0, 250);
+    eng.finish(raced->lat, 0, 1, false, 300);
+    // The loser's remote-side charge after finish is booked late.
+    mmu::charge(*raced, &eng, obs::AttribBucket::RemoteWalk, 100, 350);
+    eng.hostWalkDone(raced->lat, true, 600);
+
+    // A request still in flight at the end of the run is not checked.
+    mmu::XlatPtr open = request(2);
+    eng.begin(open->lat, 0, 2, 0x2, 700);
+    mmu::charge(*open, &eng, obs::AttribBucket::HostQueue, 1000, 700);
 
     obs::Checks checks;
-#if TRANSFW_OBS_STRICT
-    // Strict builds abort on the deliberate violation; only exercise
-    // the clean lanes.
-    obs::SpanRecorder clean;
-    clean.setEnabled(true);
-    clean.record("gmmu.walk", 0, 1, 150, 300, 0x1);
-    clean.record("xlat", 0, 1, 100, 400, 0x1);
-    EXPECT_EQ(checks.verifySpanNesting(clean), 0u);
-#else
-    EXPECT_EQ(checks.verifySpanNesting(rec), 1u);
-    EXPECT_EQ(checks.violations(), 1u);
-#endif
-}
-
-TEST(ObsChecks, SpanNestingSkipsTruncatedTraces)
-{
-    obs::SpanRecorder rec;
-    rec.setEnabled(true);
-    rec.setCapacity(1);
-    rec.record("gmmu.walk", 0, 2, 500, 900, 0x2); // would violate...
-    rec.record("xlat", 0, 2, 480, 700, 0x2);      // ...but gets dropped
-
-    obs::Checks checks;
-    EXPECT_GT(rec.dropped(), 0u);
-    EXPECT_EQ(checks.verifySpanNesting(rec), 0u);
-}
-
-TEST(AttributionSystem, MidRunSinkSwapDuringOpenRequests)
-{
-    wl::SyntheticWorkload workload(tinySpec());
-    cfg::SystemConfig config = sys::transFwConfig();
-    config.cusPerGpu = 6;
-    config.obs.spans = true;
-
-    sys::MultiGpuSystem system(config, workload);
-    obs::SpanRecorder other;
-    other.setEnabled(true);
-    other.setCapacity(config.obs.maxSpans);
-
-    // Swap the span sink mid-run, while translations are guaranteed
-    // to be in flight: spans for one request then straddle two
-    // recorders. That may neither disturb the run nor trip the
-    // watchdog.
-    system.eventq().schedule(2000, [&]() {
-        system.gpuAt(0).attachSpans(&other);
-        if (system.hostMmu())
-            system.hostMmu()->attachSpans(&other);
-    });
-
-    sys::SimResults r = system.run();
-
-    EXPECT_EQ(r.obsCheckViolations, 0u);
-    EXPECT_GT(r.execTime, 2000u);
-    // Both recorders saw spans from their half of the run.
-    EXPECT_FALSE(system.obs().spans.spans().empty());
-    EXPECT_FALSE(other.spans().empty());
-    // A swapped-out recorder still exports a valid trace.
-    std::ostringstream trace;
-    other.writeChromeTrace(trace);
-    EXPECT_FALSE(trace.str().empty());
+    EXPECT_EQ(checks.verifyTimelines(eng), 0u);
+    EXPECT_EQ(checks.violations(), 0u);
+    EXPECT_TRUE(eng.timeline(0, 1)->events.back().kind ==
+                obs::AttribEvent::Kind::DuplicateHostWalk);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +521,7 @@ TEST(AttributionGauges, SystemRegistersObservabilityGauges)
     obs::MetricRegistry &reg = system.obs().metrics;
     std::string json = reg.toJson();
     for (const char *key :
-         {"obs.droppedSpans", "obs.checks.violations",
+         {"obs.checks.violations",
           "obs.attrib.forwardSavedCycles", "host.ft.kicks",
           "host.ft.observedFpRate", "host.ft.refMap.loadFactor",
           "gpu0.prt.kicks", "gpu0.prt.observedFpRate",
@@ -474,8 +536,6 @@ TEST(AttributionGauges, SystemRegistersObservabilityGauges)
     EXPECT_GE(system.forwardingTable()->observedFpRate(), 0.0);
     EXPECT_LE(system.forwardingTable()->observedFpRate(), 1.0);
 }
-
-#endif // TRANSFW_OBS
 
 // ---------------------------------------------------------------------------
 // System: the watchdog holds end-to-end, and keeping timelines is

@@ -37,11 +37,19 @@ TEST_P(ConfigMatrix, RunsWithConsistentAccounting)
     config.faultMode = mode;
     config.transFw.enabled = transfw;
 
-    sys::SimResults r = sys::runWorkload(workload, config);
+    // Every request keeps its timeline, so the post-run timeline check
+    // runs on every one of them.
+    sys::MultiGpuSystem system(config, workload);
+    system.obs().attribution.setKeepTimelines(true);
+    sys::SimResults r = system.run();
 
-    // Invariant watchdog: per-hop sums balance, spans nest, and PRT
-    // short circuits charge no local walk — across the whole matrix,
-    // zero violations, with every finished translation checked.
+    // Invariant watchdog: per-hop sums balance, every timeline slice
+    // lies inside its request (bar reply-race losers), and PRT short
+    // circuits charge no local walk — across the whole matrix, zero
+    // violations, with every finished translation checked.
+    EXPECT_EQ(system.obs().attribution.droppedTimelines(), 0u);
+    EXPECT_EQ(system.obs().attribution.timelines().size(),
+              r.attribution.requests);
     EXPECT_EQ(r.obsCheckViolations, 0u);
     EXPECT_EQ(r.obsCheckedRequests, r.attribution.requests);
     EXPECT_EQ(r.attribution.requests, r.l2TlbMisses);

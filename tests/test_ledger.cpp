@@ -9,14 +9,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/ledger.hpp"
-#include "obs/sampler.hpp"
-#include "obs/span.hpp"
 #include "sim/task_pool.hpp"
 #include "system/report.hpp"
 #include "system/sweep.hpp"
@@ -381,32 +378,4 @@ TEST(SelfProfiler, ConfigKeyCoversProfilerKnobs)
     b.obs.profileStride = ref.obs.profileStride + 1;
     EXPECT_NE(a.key(), ref.key());
     EXPECT_NE(b.key(), ref.key());
-}
-
-TEST(SpanRecorder, ExportsSamplerAsCounterTracks)
-{
-    obs::SpanRecorder spans;
-    spans.setEnabled(true);
-    spans.record("xlat", 0, 1, 10, 20, 0x42);
-
-    obs::IntervalSampler sampler;
-    double v = 1.0;
-    sampler.addColumn("queue.depth", [&v] { return v; });
-    sim::EventQueue eq;
-    sampler.start(eq, 5);
-    eq.schedule(12, [] {}); // keep the queue alive past two samples
-    eq.run();
-
-    std::ostringstream os;
-    spans.writeChromeTrace(os, &sampler);
-    std::string trace = os.str();
-    EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);
-    EXPECT_NE(trace.find("queue.depth"), std::string::npos);
-    EXPECT_NE(trace.find("\"pid\":1002"), std::string::npos);
-    EXPECT_NE(trace.find("metrics"), std::string::npos);
-
-    // Without a sampler the trace is counter-free (back compat).
-    std::ostringstream bare;
-    spans.writeChromeTrace(bare);
-    EXPECT_EQ(bare.str().find("\"ph\":\"C\""), std::string::npos);
 }

@@ -68,6 +68,27 @@ TEST(Config, ValidateRejectsNonsense)
                 "pageShift");
 }
 
+TEST(Config, ModeConfigMapsTheFourToolModes)
+{
+    EXPECT_EQ(sys::modeConfig("baseline").key(), sys::baselineConfig().key());
+    EXPECT_EQ(sys::modeConfig("transfw").key(), sys::transFwConfig().key());
+    cfg::SystemConfig sw = sys::modeConfig("sw");
+    EXPECT_EQ(sw.faultMode, cfg::FaultMode::UvmDriver);
+    EXPECT_FALSE(sw.transFw.enabled);
+    cfg::SystemConfig sw_fw = sys::modeConfig("sw-transfw");
+    EXPECT_EQ(sw_fw.faultMode, cfg::FaultMode::UvmDriver);
+    EXPECT_TRUE(sw_fw.transFw.enabled);
+}
+
+TEST(Config, ModeConfigRejectsUnknownModes)
+{
+    // A typo used to run the baseline silently.
+    EXPECT_EXIT(sys::modeConfig("tranfsw"), ::testing::ExitedWithCode(1),
+                "unknown mode 'tranfsw'");
+    EXPECT_EXIT(sys::modeConfig(""), ::testing::ExitedWithCode(1),
+                "unknown mode");
+}
+
 TEST(Config, ForwardTriggerScalesWithWalkers)
 {
     cfg::SystemConfig config;

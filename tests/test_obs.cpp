@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "mini_json.hpp"
 #include "transfw/transfw.hpp"
 
 using namespace transfw;
@@ -156,164 +157,6 @@ TEST(LogHistogram, NegativeClampsToZero)
 }
 
 // ---------------------------------------------------------------------------
-// SpanRecorder: enable/disable, capacity, Chrome trace export.
-// ---------------------------------------------------------------------------
-
-TEST(SpanRecorder, DisabledRecordsNothing)
-{
-    obs::SpanRecorder rec;
-    EXPECT_FALSE(rec.enabled());
-    rec.record("x", 0, 1, 10, 20);
-    EXPECT_TRUE(rec.spans().empty());
-}
-
-// Span recording is compiled out entirely under -DTRANSFW_OBS=OFF;
-// only the tests that need recorded spans are guarded.
-#if TRANSFW_OBS
-TEST(SpanRecorder, EnabledRecordsAndClears)
-{
-    obs::SpanRecorder rec;
-    rec.setEnabled(true);
-    rec.record("gmmu.walk", 2, 7, 100, 600, 0x42, 500.0);
-    ASSERT_EQ(rec.spans().size(), 1u);
-    const obs::Span &s = rec.spans()[0];
-    EXPECT_STREQ(s.name, "gmmu.walk");
-    EXPECT_EQ(s.pid, 2u);
-    EXPECT_EQ(s.tid, 7u);
-    EXPECT_EQ(s.start, 100u);
-    EXPECT_EQ(s.end, 600u);
-    EXPECT_EQ(s.vpn, 0x42u);
-    EXPECT_DOUBLE_EQ(s.arg, 500.0);
-    rec.clear();
-    EXPECT_TRUE(rec.spans().empty());
-    EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(SpanRecorder, CapacityDropsAndCounts)
-{
-    obs::SpanRecorder rec;
-    rec.setEnabled(true);
-    rec.setCapacity(3);
-    for (int i = 0; i < 10; ++i)
-        rec.record("s", 0, static_cast<std::uint64_t>(i), i, i + 1);
-    // Three real spans plus one synthetic "obs.dropped" marker that
-    // spans the lost region and carries the drop count in its arg.
-    ASSERT_EQ(rec.spans().size(), 4u);
-    EXPECT_EQ(rec.dropped(), 7u);
-    const obs::Span &d = rec.spans().back();
-    EXPECT_STREQ(d.name, "obs.dropped");
-    EXPECT_EQ(d.pid, obs::SpanRecorder::kObsPid);
-    EXPECT_EQ(d.start, 3u);  // first dropped span's start
-    EXPECT_EQ(d.end, 10u);   // last dropped span's end
-    EXPECT_DOUBLE_EQ(d.arg, 7.0);
-
-    rec.clear();
-    EXPECT_TRUE(rec.spans().empty());
-    EXPECT_EQ(rec.dropped(), 0u);
-    // The synthetic marker must re-arm after clear().
-    for (int i = 0; i < 5; ++i)
-        rec.record("s", 0, static_cast<std::uint64_t>(i), i, i + 1);
-    ASSERT_EQ(rec.spans().size(), 4u);
-    EXPECT_STREQ(rec.spans().back().name, "obs.dropped");
-    EXPECT_DOUBLE_EQ(rec.spans().back().arg, 2.0);
-}
-#endif // TRANSFW_OBS
-
-namespace {
-
-/** Count occurrences of a substring. */
-std::size_t
-countOccurrences(const std::string &hay, const std::string &needle)
-{
-    std::size_t n = 0;
-    for (std::size_t pos = hay.find(needle); pos != std::string::npos;
-         pos = hay.find(needle, pos + needle.size()))
-        ++n;
-    return n;
-}
-
-/**
- * Minimal JSON well-formedness check: balanced braces/brackets outside
- * strings, no trailing comma before a closer. Enough to catch the
- * classic exporter bugs (stray commas, unterminated strings) without a
- * JSON library in the test image.
- */
-void
-expectWellFormedJson(const std::string &text)
-{
-    std::vector<char> stack;
-    bool inString = false, escaped = false;
-    char lastMeaningful = '\0';
-    for (char c : text) {
-        if (inString) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"') {
-                inString = false;
-                lastMeaningful = '"';
-            }
-            continue;
-        }
-        switch (c) {
-        case '"': inString = true; break;
-        case '{': case '[': stack.push_back(c); break;
-        case '}':
-            ASSERT_FALSE(stack.empty());
-            ASSERT_EQ(stack.back(), '{');
-            ASSERT_NE(lastMeaningful, ',') << "trailing comma before }";
-            stack.pop_back();
-            break;
-        case ']':
-            ASSERT_FALSE(stack.empty());
-            ASSERT_EQ(stack.back(), '[');
-            ASSERT_NE(lastMeaningful, ',') << "trailing comma before ]";
-            stack.pop_back();
-            break;
-        default: break;
-        }
-        if (!std::isspace(static_cast<unsigned char>(c)))
-            lastMeaningful = c;
-    }
-    EXPECT_FALSE(inString) << "unterminated string";
-    EXPECT_TRUE(stack.empty()) << "unbalanced braces/brackets";
-}
-
-} // namespace
-
-#if TRANSFW_OBS
-TEST(SpanRecorder, ChromeTraceJsonParsesBack)
-{
-    obs::SpanRecorder rec;
-    rec.setEnabled(true);
-    rec.record("xlat", 0, 1, 0, 100, 0x10, 100.0);
-    rec.record("gmmu.queue", 0, 1, 0, 20, 0x10);
-    rec.record("gmmu.walk", 0, 1, 20, 100, 0x10);
-    rec.record("driver.batch", obs::SpanRecorder::kHostPid, 0, 5, 50);
-
-    std::ostringstream os;
-    rec.writeChromeTrace(os);
-    std::string json = os.str();
-
-    expectWellFormedJson(json);
-    // Four "X" complete events.
-    EXPECT_EQ(countOccurrences(json, "\"ph\":\"X\""), 4u);
-    // Metadata names each pid track: gpu0 and the host driver.
-    EXPECT_EQ(countOccurrences(json, "\"ph\":\"M\""), 2u);
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-    EXPECT_NE(json.find("\"host\""), std::string::npos);
-    EXPECT_NE(json.find("\"gpu0\""), std::string::npos);
-    // Durations are end - start.
-    EXPECT_NE(json.find("\"dur\":80"), std::string::npos);   // gmmu.walk
-    EXPECT_NE(json.find("\"dur\":100"), std::string::npos);  // xlat
-    // The self-check arg rides along.
-    EXPECT_NE(json.find("\"args\""), std::string::npos);
-}
-#endif // TRANSFW_OBS
-
-// ---------------------------------------------------------------------------
 // MetricRegistry.
 // ---------------------------------------------------------------------------
 
@@ -350,7 +193,7 @@ TEST(MetricRegistry, HistogramExpandsToLeaves)
         hist.record(i);
     reg.registerHistogram("gpu0.xlat", &hist);
     std::string json = reg.toJson();
-    expectWellFormedJson(json);
+    parsedJson(json);
     EXPECT_NE(json.find("\"gpu0.xlat.count\""), std::string::npos);
     EXPECT_NE(json.find("\"gpu0.xlat.mean\""), std::string::npos);
     EXPECT_NE(json.find("\"gpu0.xlat.p50\""), std::string::npos);
@@ -425,7 +268,7 @@ TEST(IntervalSampler, CsvAndJsonShapes)
 
     std::ostringstream jsonOs;
     sampler.writeJson(jsonOs);
-    expectWellFormedJson(jsonOs.str());
+    parsedJson(jsonOs.str());
     EXPECT_NE(jsonOs.str().find("\"q.depth\""), std::string::npos);
 }
 
@@ -458,81 +301,89 @@ obsConfig()
     config.numGpus = 2;
     config.cusPerGpu = 4;
     config.wavefrontSlotsPerCu = 2;
-    config.obs.spans = true;
     config.obs.sampleInterval = 2000;
     return config;
 }
 
-} // namespace
-
-#if TRANSFW_OBS
-TEST(ObsEndToEnd, XlatSpanDurationMatchesBreakdownSum)
+/** The Perfetto export of a run that kept every request's timeline. */
+JsonValue
+exportedTrace(const cfg::SystemConfig &config, const wl::Workload &workload,
+              sys::SimResults *results = nullptr)
 {
-    // Acceptance criterion: the per-request breakdown sum (carried in
-    // the "xlat" span's arg) equals the end-to-end measured latency
-    // (the span's duration) within one tick. Baseline config: the
-    // serial translation path accounts every cycle exactly once.
-    wl::SyntheticWorkload workload(tinySpec());
-    sys::MultiGpuSystem system(obsConfig(), workload);
-    system.run();
-
-    const obs::SpanRecorder &rec = system.obs().spans;
-    EXPECT_EQ(rec.dropped(), 0u);
-    std::size_t xlatSpans = 0;
-    for (const obs::Span &s : rec.spans()) {
-        if (std::string(s.name) != "xlat")
-            continue;
-        ++xlatSpans;
-        ASSERT_GE(s.arg, 0.0) << "xlat span missing breakdown total";
-        double dur = static_cast<double>(s.end - s.start);
-        EXPECT_NEAR(dur, s.arg, 1.0)
-            << "request " << s.tid << " on gpu " << s.pid << " vpn 0x"
-            << std::hex << s.vpn;
-    }
-    EXPECT_GT(xlatSpans, 0u);
+    sys::MultiGpuSystem system(config, workload);
+    system.obs().attribution.setKeepTimelines(true);
+    sys::SimResults r = system.run();
+    EXPECT_EQ(r.obsCheckViolations, 0u);
+    if (results)
+        *results = r;
+    std::ostringstream os;
+    obs::writeChromeTrace(os, system.obs().attribution,
+                          &system.obs().sampler);
+    return parsedJson(os.str());
 }
 
-TEST(ObsEndToEnd, PhaseSpansNestInsideRootSpan)
-{
-    // Every recorded phase of request (pid, tid) must fit inside that
-    // request's "xlat" root span (requests are serial per wavefront
-    // slot, but ids are unique per request so there is exactly one
-    // root per (pid, tid) epoch here).
-    wl::SyntheticWorkload workload(tinySpec());
-    sys::MultiGpuSystem system(obsConfig(), workload);
-    system.run();
+} // namespace
 
-    const std::vector<obs::Span> &spans = system.obs().spans.spans();
-    std::map<std::pair<std::uint32_t, std::uint64_t>,
-             std::vector<const obs::Span *>>
+TEST(ObsEndToEnd, XlatRootDurationMatchesChargedTotal)
+{
+    // The per-request charged total (the "xlat" root's args.charged)
+    // equals the end-to-end latency (the root's duration) within one
+    // tick. Baseline config: the serial translation path accounts
+    // every cycle exactly once.
+    wl::SyntheticWorkload workload(tinySpec());
+    sys::SimResults r;
+    JsonValue trace = exportedTrace(obsConfig(), workload, &r);
+
+    std::size_t roots = 0;
+    for (const JsonValue *s : traceEvents(trace, "X")) {
+        if (s->str("name") != "xlat")
+            continue;
+        ++roots;
+        const JsonValue *args = s->get("args");
+        ASSERT_NE(args, nullptr);
+        ASSERT_NE(args->get("charged"), nullptr);
+        EXPECT_NEAR(s->num("dur"), args->num("charged"), 1.0)
+            << "request " << s->num("tid") << " on gpu " << s->num("pid");
+    }
+    EXPECT_EQ(roots, r.attribution.requests);
+    EXPECT_GT(roots, 0u);
+}
+
+TEST(ObsEndToEnd, PhaseSlicesNestInsideRootSlice)
+{
+    // Every charge and hop slice of request (pid, tid) fits inside
+    // that request's "xlat" root: each phase is drawn from when it
+    // started, whether it was charged at its start or its end.
+    wl::SyntheticWorkload workload(tinySpec());
+    JsonValue trace = exportedTrace(obsConfig(), workload);
+
+    std::map<std::pair<double, double>, std::vector<const JsonValue *>>
         byRequest;
-    for (const obs::Span &s : spans)
-        byRequest[{s.pid, s.tid}].push_back(&s);
+    for (const JsonValue *s : traceEvents(trace, "X"))
+        byRequest[{s->num("pid"), s->num("tid")}].push_back(s);
 
     std::size_t checkedChildren = 0;
     for (const auto &[key, group] : byRequest) {
-        if (key.first == obs::SpanRecorder::kHostPid)
-            continue; // driver batch lanes have no xlat root
-        const obs::Span *root = nullptr;
-        for (const obs::Span *s : group)
-            if (std::string(s->name) == "xlat")
+        const JsonValue *root = nullptr;
+        for (const JsonValue *s : group)
+            if (s->str("name") == "xlat")
                 root = s;
-        if (!root)
-            continue;
-        for (const obs::Span *s : group) {
+        ASSERT_NE(root, nullptr) << "request " << key.second;
+        const double start = root->num("ts");
+        const double end = start + root->num("dur");
+        for (const JsonValue *s : group) {
             if (s == root)
                 continue;
-            EXPECT_LE(s->end, root->end)
-                << s->name << " overruns xlat for tid " << key.second;
-            EXPECT_GE(s->start, root->start)
-                << s->name << " precedes xlat for tid " << key.second;
-            EXPECT_LE(s->start, s->end) << s->name << " is negative";
+            EXPECT_GE(s->num("ts"), start)
+                << s->str("name") << " precedes xlat for tid " << key.second;
+            EXPECT_LE(s->num("ts") + s->num("dur"), end)
+                << s->str("name") << " overruns xlat for tid " << key.second;
+            EXPECT_GE(s->num("dur"), 0.0) << s->str("name");
             ++checkedChildren;
         }
     }
     EXPECT_GT(checkedChildren, 0u);
 }
-#endif // TRANSFW_OBS
 
 TEST(ObsEndToEnd, MetricsRegistryCoversComponents)
 {
@@ -558,7 +409,7 @@ TEST(ObsEndToEnd, MetricsRegistryCoversComponents)
     EXPECT_EQ(accesses, static_cast<double>(r.pageAccesses));
 
     std::string json = reg.toJson();
-    expectWellFormedJson(json);
+    parsedJson(json);
     EXPECT_NE(json.find("\"gpu0.xlat.p99\""), std::string::npos);
 }
 
@@ -598,45 +449,55 @@ TEST(ObsEndToEnd, SamplerTicksAlignAndTrackQueue)
     }
 }
 
-TEST(ObsEndToEnd, TransFwModeRecordsForwardingSpans)
+TEST(ObsEndToEnd, TransFwExportCarriesForwardSlices)
 {
-    // Under Trans-FW, the registry exposes PRT/FT load and the trace
-    // (possibly empty with spans compiled out) still exports cleanly.
-    wl::SyntheticWorkload workload(tinySpec());
-    cfg::SystemConfig config = obsConfig();
-    cfg::SystemConfig fw = sys::transFwConfig();
-    config.transFw = fw.transFw;
-    sys::MultiGpuSystem system(config, workload);
-    system.run();
+    // Under Trans-FW, the registry exposes PRT/FT load and the export
+    // draws each forward from its launch to its outcome. MT congests
+    // the host PW-queue enough to forward.
+    auto workload = wl::makeApp("MT", 0.05);
+    sys::MultiGpuSystem system(sys::transFwConfig(), *workload);
+    system.obs().attribution.setKeepTimelines(true);
+    sys::SimResults r = system.run();
 
     EXPECT_TRUE(system.obs().metrics.has("host.ft.loadFactor"));
     EXPECT_TRUE(system.obs().metrics.has("gpu0.prt.loadFactor"));
     EXPECT_TRUE(system.obs().metrics.has("host.mmu.forwards"));
 
     std::ostringstream os;
-    system.obs().spans.writeChromeTrace(os);
-    expectWellFormedJson(os.str());
+    obs::writeChromeTrace(os, system.obs().attribution);
+    JsonValue trace = parsedJson(os.str());
+    std::size_t forwards = 0;
+    for (const JsonValue *s : traceEvents(trace, "X")) {
+        if (s->str("name") != "forward")
+            continue;
+        ++forwards;
+        const std::string outcome = s->get("args")->str("outcome");
+        EXPECT_TRUE(outcome == "failed" || outcome == "remoteWon" ||
+                    outcome == "hostWon")
+            << outcome;
+    }
+    ASSERT_GT(r.forwards, 0u);
+    EXPECT_EQ(forwards, r.forwards);
 }
 
 TEST(ObsEndToEnd, DisabledByDefaultCostsNothing)
 {
     wl::SyntheticWorkload workload(tinySpec());
     cfg::SystemConfig config = obsConfig();
-    config.obs.spans = false;
     config.obs.sampleInterval = 0;
     sys::MultiGpuSystem system(config, workload);
-    system.run();
-    EXPECT_TRUE(system.obs().spans.spans().empty());
+    sys::SimResults b = system.run();
+    EXPECT_FALSE(system.obs().attribution.keepTimelines());
+    EXPECT_TRUE(system.obs().attribution.timelines().empty());
     EXPECT_EQ(system.obs().sampler.rows(), 0u);
     // The registry still answers (gauges are free), and results are
-    // identical to an instrumented run.
+    // identical to a sampled run that keeps every timeline.
     EXPECT_TRUE(system.obs().metrics.has("sim.tick"));
 
-    cfg::SystemConfig instrumented = obsConfig();
-    sys::MultiGpuSystem system2(instrumented, workload);
-    sys::SimResults a = system2.run();
-    sys::MultiGpuSystem system3(config, workload);
-    sys::SimResults b = system3.run();
+    sys::MultiGpuSystem instrumented(obsConfig(), workload);
+    instrumented.obs().attribution.setKeepTimelines(true);
+    sys::SimResults a = instrumented.run();
+    EXPECT_FALSE(instrumented.obs().attribution.timelines().empty());
     EXPECT_EQ(a.execTime, b.execTime);
     EXPECT_EQ(a.farFaults, b.farFaults);
 }

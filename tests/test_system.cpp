@@ -217,3 +217,28 @@ TEST(System, RunTwiceIsFatal)
     system.run();
     EXPECT_EXIT(system.run(), ::testing::ExitedWithCode(1), "once");
 }
+
+// A bad config exits through its named fatal before any member of the
+// system is built from it: with 0 GPUs the CTA scheduler and the
+// network used to crash first (SIGSEGV), and a 0-radix switch fabric
+// panicked inside the Network constructor.
+TEST(System, ZeroGpusIsFatalBeforeConstruction)
+{
+    wl::SyntheticWorkload workload(sharedSpec());
+    cfg::SystemConfig config = smallConfig();
+    config.numGpus = 0;
+    EXPECT_EXIT(sys::MultiGpuSystem(config, workload),
+                ::testing::ExitedWithCode(1), "numGpus must be in");
+}
+
+TEST(System, ZeroSwitchRadixIsFatalBeforeConstruction)
+{
+    wl::SyntheticWorkload workload(sharedSpec());
+    cfg::SystemConfig config = smallConfig();
+    config.numGpus = 8;
+    config.peerTopology = ic::Topology::Switch;
+    config.switchRadix = 0;
+    EXPECT_EXIT(sys::MultiGpuSystem(config, workload),
+                ::testing::ExitedWithCode(1),
+                "switchRadix must be positive");
+}
