@@ -13,10 +13,10 @@
 # finally with ThreadSanitizer, which races the parallel sweep runner
 # (SweepRunner over TaskPool, whole simulations per worker thread).
 # In between, the run-ledger gate replays a small config matrix through
-# ./build/examples/simulate into a fresh transfw-ledger-v1 JSONL file,
-# validates the schema, and diffs it against the committed
-# LEDGER_golden.jsonl with compare_runs — any deterministic metric that
-# moved fails the gate; wall-clock fields only warn.
+# `./build/examples/transfw run` into a fresh transfw-ledger-v1 JSONL
+# file, validates the schema, and diffs it against the committed
+# LEDGER_golden.jsonl with `transfw diff` — any deterministic metric
+# that moved fails the gate; wall-clock fields only warn.
 # Usage:
 #
 #   scripts/check.sh                  # plain + no-obs + sanitizer pass
@@ -75,7 +75,7 @@ echo "== footprint gate (64-GPU ring pod, peak RSS <= 128 MB) =="
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import resource, subprocess, sys
-subprocess.run(["./build/examples/simulate", "--app", "MT", "--transfw",
+subprocess.run(["./build/examples/transfw", "run", "--app", "MT", "--transfw",
                 "--gpus", "64", "--cus", "4", "--shards", "4",
                 "--topology", "ring"], check=True,
                stdout=subprocess.DEVNULL)
@@ -176,7 +176,7 @@ if [[ "${TRANSFW_SKIP_LEDGER_GATE:-0}" == "1" ]]; then
     echo "skipped (TRANSFW_SKIP_LEDGER_GATE=1)"
 else
     LEDGER_NEW=$(mktemp /tmp/transfw_ledger.XXXXXX.jsonl)
-    rm -f "$LEDGER_NEW" # simulate appends; start from an empty ledger
+    rm -f "$LEDGER_NEW" # transfw run appends; start from an empty ledger
     # Small deterministic config matrix: both fault modes, with and
     # without Trans-FW, plus the configs where one GPU's events touch
     # another GPU's state (remote-map access counters, Least-TLB
@@ -194,7 +194,7 @@ else
     )
     for args in "${LEDGER_MATRIX[@]}"; do
         # shellcheck disable=SC2086
-        ./build/examples/simulate $args --scale 0.25 \
+        ./build/examples/transfw run $args --scale 0.25 \
             --ledger "$LEDGER_NEW" >/dev/null
     done
     if command -v python3 >/dev/null 2>&1; then
@@ -208,7 +208,7 @@ for n, line in enumerate(lines, 1):
     for field in ("app", "scale", "configKey", "configSummary",
                   "source", "metrics", "wall"):
         assert field in rec, f"line {n}: {field} missing"
-    assert rec["source"] == "simulate", f"line {n}: source"
+    assert rec["source"] == "run", f"line {n}: source"
     assert isinstance(rec["metrics"], dict) and rec["metrics"], \
         f"line {n}: empty metrics"
     assert "timestamp" in rec["wall"], f"line {n}: wall.timestamp"
@@ -225,7 +225,7 @@ EOF
         cp "$LEDGER_NEW" LEDGER_golden.jsonl
         echo "LEDGER_golden.jsonl refreshed — review and commit it"
     else
-        ./build/examples/compare_runs LEDGER_golden.jsonl "$LEDGER_NEW"
+        ./build/examples/transfw diff LEDGER_golden.jsonl "$LEDGER_NEW"
         echo "ledger gate OK"
     fi
     rm -f "$LEDGER_NEW"
@@ -249,7 +249,7 @@ FABRIC_MATRIX=(
 )
 for args in "${FABRIC_MATRIX[@]}"; do
     # shellcheck disable=SC2086
-    ./build/examples/simulate $args --scale 0.05 \
+    ./build/examples/transfw run $args --scale 0.05 \
         --ledger "$FABRIC_LEDGER" >/dev/null
 done
 if command -v python3 >/dev/null 2>&1; then
@@ -301,9 +301,9 @@ if command -v python3 >/dev/null 2>&1; then
     OBS_LEDGER=$(mktemp /tmp/transfw_obs.XXXXXX.jsonl)
     NOOBS_LEDGER=$(mktemp /tmp/transfw_noobs.XXXXXX.jsonl)
     rm -f "$OBS_LEDGER" "$NOOBS_LEDGER"
-    ./build/examples/simulate --app MT --transfw --scale 0.25 \
+    ./build/examples/transfw run --app MT --transfw --scale 0.25 \
         --ledger "$OBS_LEDGER" >/dev/null
-    ./build-noobs/examples/simulate --app MT --transfw --scale 0.25 \
+    ./build-noobs/examples/transfw run --app MT --transfw --scale 0.25 \
         --ledger "$NOOBS_LEDGER" >/dev/null
     python3 - "$OBS_LEDGER" "$NOOBS_LEDGER" <<'EOF'
 import json, sys
@@ -331,7 +331,7 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 # Pod smoke under asan: a 16-GPU ring with the host MMU sharded 4
 # ways exercises the topology router and the shard crossbar with the
 # strict obs watchdog armed.
-./build-asan/examples/simulate --app MT --transfw --topology ring \
+./build-asan/examples/transfw run --app MT --transfw --topology ring \
     --gpus 16 --shards 4 --cus 4 --scale 0.05 >/dev/null
 echo "asan pod smoke OK (16-GPU ring, 4 shards)"
 

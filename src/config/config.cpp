@@ -1,5 +1,7 @@
 #include "config/config.hpp"
 
+#include <cmath>
+
 #include "sim/logging.hpp"
 
 namespace transfw::cfg {
@@ -122,6 +124,8 @@ SystemConfig::validate() const
         sim::fatal("numGpus must be in [1, 64]");
     if (cusPerGpu < 1)
         sim::fatal("cusPerGpu must be positive");
+    if (wavefrontSlotsPerCu < 1)
+        sim::fatal("wavefrontSlotsPerCu must be positive");
     if (pageTableLevels != 4 && pageTableLevels != 5)
         sim::fatal("pageTableLevels must be 4 or 5");
     if (pageShift != mem::kSmallPageShift &&
@@ -129,8 +133,13 @@ SystemConfig::validate() const
         sim::fatal("pageShift must select 4 KB or 2 MB pages");
     if (gmmuWalkers < 1 || hostWalkers < 1)
         sim::fatal("walker counts must be positive");
-    if (transFw.enabled && transFw.forwardThreshold < 0)
-        sim::fatal("forwardThreshold must be non-negative");
+    if (pwcEntries < 1)
+        sim::fatal("pwcEntries must be positive");
+    if (!std::isfinite(transFw.forwardThreshold) ||
+        transFw.forwardThreshold < 0)
+        sim::fatal("forwardThreshold must be a finite number >= 0");
+    if (!(asap.accuracy >= 0 && asap.accuracy <= 1))
+        sim::fatal("asap.accuracy must be in [0, 1]");
     if (hostShards < 1 || hostShards > 64)
         sim::fatal("hostShards must be in [1, 64]");
     if (hostShards > 1 && faultMode == FaultMode::UvmDriver)

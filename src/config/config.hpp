@@ -2,6 +2,7 @@
 #define TRANSFW_CONFIG_CONFIG_HPP
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "interconnect/link.hpp"
@@ -246,12 +247,13 @@ struct SystemConfig
         return geo;
     }
 
-    /** Host MMU forwarding trigger in absolute queued requests. */
+    /** Host MMU forwarding trigger in queued requests; saturates. */
     std::size_t
     forwardQueueTrigger() const
     {
-        return static_cast<std::size_t>(transFw.forwardThreshold *
-                                        hostWalkers);
+        double trigger = transFw.forwardThreshold * hostWalkers;
+        return trigger < 1e18 ? static_cast<std::size_t>(trigger)
+                              : std::numeric_limits<std::size_t>::max();
     }
 
     /** One-line summary for bench headers. */

@@ -310,7 +310,7 @@ class AttributionEngine
      *  timelines near 200 MB. */
     static constexpr std::size_t kMaxTimelines = std::size_t{1} << 18;
 
-    /** Retain per-request timelines (explain_request, the Perfetto
+    /** Retain per-request timelines (`transfw explain`, the Perfetto
      *  export). Off by default; set before the run, because it only
      *  affects requests begun afterwards. Requests begun once
      *  kMaxTimelines are kept get none and are counted as dropped. */

@@ -82,17 +82,15 @@ Checks::verifyTimelines(const AttributionEngine &attrib)
             });
         tl.forEachSlice([&](const char *name, sim::Tick start, double dur,
                             const AttribEvent &ev) {
-            // A forward, the race's losing side, and the shootdown that
-            // a remote win overlaps with the owner's page push
-            // (uvm::MigrationEngine::migrate) may run past the finish.
+            // A forward and the race's losing side may run past the
+            // finish.
             const AttribBucket b = ev.bucket;
             const bool forward =
                 ev.kind != Kind::Charge && ev.kind != Kind::NetworkHop;
             const bool overhang =
                 raced && (forward || b == AttribBucket::HostQueue ||
                           b == AttribBucket::HostWalkMem ||
-                          b == AttribBucket::RemoteWalk ||
-                          b == AttribBucket::Shootdown);
+                          b == AttribBucket::RemoteWalk);
             const double end = static_cast<double>(start) + dur;
             if (ev.late ||
                 (start >= tl.tIssue &&

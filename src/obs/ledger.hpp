@@ -31,7 +31,7 @@ struct LedgerRecord
     double scale = 1.0;        ///< workload scale factor
     std::string configKey;     ///< cfg::SystemConfig::key()
     std::string configSummary; ///< human-readable config line
-    std::string source;        ///< producing tool ("simulate", "sweep", ...)
+    std::string source;        ///< producing tool ("run", "sweep", ...)
 
     /** Deterministic simulation metrics (sys::toRegistry keys). */
     std::map<std::string, double> metrics;

@@ -1,6 +1,10 @@
 #include "sim/task_pool.hpp"
 
 #include <cstdlib>
+#include <string>
+
+#include "sim/logging.hpp"
+#include "sim/parse.hpp"
 
 #ifdef __unix__
 #include <unistd.h>
@@ -73,8 +77,13 @@ unsigned
 TaskPool::envThreads()
 {
     const char *env = std::getenv("TRANSFW_JOBS");
-    int v = env ? std::atoi(env) : 0;
-    return v > 0 ? static_cast<unsigned>(v) : 0;
+    if (!env)
+        return 0;
+    std::optional<unsigned> v = parseToken<unsigned>(env);
+    if (!v || *v == 0)
+        fatal(std::string("TRANSFW_JOBS must be a positive integer, not '") +
+              env + "'");
+    return *v;
 }
 
 unsigned

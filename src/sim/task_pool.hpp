@@ -51,7 +51,10 @@ class TaskPool
      */
     static unsigned defaultThreads();
 
-    /** TRANSFW_JOBS when set to a positive count, else 0. */
+    /**
+     * TRANSFW_JOBS when set, else 0; a value that is not a positive
+     * integer is fatal.
+     */
     static unsigned envThreads();
 
   private:

@@ -1,8 +1,10 @@
 #include "system/experiment.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/logging.hpp"
+#include "sim/parse.hpp"
 #include "workload/apps.hpp"
 
 namespace transfw::sys {
@@ -22,31 +24,21 @@ transFwConfig()
     return config;
 }
 
-cfg::SystemConfig
-modeConfig(const std::string &mode)
-{
-    if (mode != "baseline" && mode != "transfw" && mode != "sw" &&
-        mode != "sw-transfw")
-        sim::fatal("unknown mode '" + mode +
-                   "' (want baseline, transfw, sw or sw-transfw)");
-    cfg::SystemConfig config =
-        mode.ends_with("transfw") ? transFwConfig() : baselineConfig();
-    if (mode.starts_with("sw"))
-        config.faultMode = cfg::FaultMode::UvmDriver;
-    return config;
-}
-
 double
 effectiveScale(double requested)
 {
     if (requested > 0.0)
         return requested;
-    if (const char *env = std::getenv("TRANSFW_SCALE")) {
-        double v = std::atof(env);
-        if (v > 0.0)
-            return v;
-    }
-    return 1.0;
+    if (requested < 0.0 || std::isnan(requested))
+        sim::fatal(sim::strfmt("scale must be positive, not %g", requested));
+    const char *env = std::getenv("TRANSFW_SCALE");
+    if (!env)
+        return 1.0;
+    std::optional<double> v = sim::parseToken<double>(env);
+    if (!v || *v <= 0.0)
+        sim::fatal(sim::strfmt("TRANSFW_SCALE must be a positive number, "
+                               "not '%s'", env));
+    return *v;
 }
 
 SimResults

@@ -17,12 +17,6 @@ cfg::SystemConfig baselineConfig();
 cfg::SystemConfig transFwConfig();
 
 /**
- * The single-run tools' modes: "baseline", "transfw", "sw" (far faults
- * through the UVM driver) and "sw-transfw". Any other name is fatal.
- */
-cfg::SystemConfig modeConfig(const std::string &mode);
-
-/**
  * Run one application (Table III abbreviation) under @p config.
  * @p scale multiplies per-CTA work; scale <= 0 reads the
  * TRANSFW_SCALE environment variable (default 1.0), letting slow
@@ -45,7 +39,11 @@ speedup(const SimResults &baseline, const SimResults &candidate)
                : 0.0;
 }
 
-/** Effective work scale (TRANSFW_SCALE env var or 1.0). */
+/**
+ * Effective work scale: @p requested when positive, else the
+ * TRANSFW_SCALE environment variable, else 1.0. A negative scale or a
+ * TRANSFW_SCALE that is not a positive number is fatal.
+ */
 double effectiveScale(double requested);
 
 } // namespace transfw::sys

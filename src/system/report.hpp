@@ -18,7 +18,7 @@ namespace transfw::sys {
  */
 stats::Registry toRegistry(const SimResults &results);
 
-/** Human-readable multi-section report (what inspect_stats prints). */
+/** Human-readable multi-section report (what `transfw run --report` prints). */
 std::string formatReport(const SimResults &results);
 
 /** One CSV line (with a matching header line) for sweep tooling. */

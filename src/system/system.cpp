@@ -65,102 +65,64 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
     engine_ = std::make_unique<uvm::MigrationEngine>(
         hostEq_, cfg_, central_, ifaces, net_, ft_.get());
 
-    if (cfg_.faultMode == cfg::FaultMode::HostMmu) {
-        hostMmu_ = std::make_unique<mmu::HostMmuCluster>(
-            hostEq_, cfg_, central_, *engine_, ft_.get(), ifaces, rng_);
-        hostMmu_->onResolved = [this](mmu::XlatPtr req) {
-            int g = req->gpu;
-            if (req->resolvedByRemote) {
-                // The owner GPU replied to the requester directly along
-                // with the pushed page (Fig. 10, path I); no extra
-                // host -> GPU reply hop. Hand the completion to GPU g
-                // at the current tick; it runs after every host event
-                // of this tick.
-                gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
-                    hostEq_.now(), [this, req]() {
-                        gpus_[static_cast<std::size_t>(req->gpu)]
-                            ->translationReturned(req);
-                    });
-                return;
-            }
-            sim::Tick t0 = hostEq_.now();
-            net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
-                // Delivered on GPU g's queue.
-                sim::Tick now =
-                    gpuQs_[static_cast<std::size_t>(g)]->now();
-                obs::ProfScope prof(profiler(),
-                                    obs::ProfBucket::Interconnect);
-                mmu::chargeHop(*req, attribEngine(),
-                               obs::AttribBucket::Network,
-                               starHop(-1, g,
-                                       net_.fromHost(g).latency(),
-                                       static_cast<double>(now - t0)),
-                               t0);
-                gpus_[static_cast<std::size_t>(g)]->translationReturned(
-                    req);
-            });
-        };
-        hostMmu_->forwardToGpu = [this](mmu::RemoteLookupPtr rl) {
-            sim::Tick t0 = hostEq_.now();
-            int target = rl->targetGpu;
-            net_.fromHost(target).sendCtrl(
-                kCtrlMsgBytes, [this, rl, t0, target]() {
-                    // Delivered on GPU `target`'s queue.
-                    sim::Tick now =
-                        gpuQs_[static_cast<std::size_t>(target)]->now();
-                    obs::ProfScope prof(profiler(),
-                                        obs::ProfBucket::Interconnect);
-                    mmu::chargeHop(
-                        *rl->req, attribEngine(),
-                        obs::AttribBucket::Network,
-                        starHop(-1, target,
-                                net_.fromHost(target).latency(),
-                                static_cast<double>(now - t0)),
-                        t0);
-                    gpus_[static_cast<std::size_t>(target)]
-                        ->remoteLookupRequest(rl);
+    // Replies and forwards leave the host side the same way on both
+    // fault paths: over the host -> GPU downlink, as charged hops.
+    auto on_resolved = [this](mmu::XlatPtr req) {
+        int g = req->gpu;
+        if (req->resolvedByRemote) {
+            // The owner GPU replied to the requester directly along with
+            // the pushed page (Fig. 10, path I); no extra host -> GPU
+            // reply hop. Hand the completion to GPU g at the current
+            // tick; it runs after every host event of this tick.
+            gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
+                hostEq_.now(), [this, req]() {
+                    gpus_[static_cast<std::size_t>(req->gpu)]
+                        ->translationReturned(req);
                 });
-        };
-    } else {
-        driver_ = std::make_unique<uvm::UvmDriver>(
-            hostEq_, cfg_, central_, *engine_, ft_.get(), rng_);
-        driver_->onResolved = [this](mmu::XlatPtr req) {
-            int g = req->gpu;
-            if (req->resolvedByRemote) {
-                // Owner-push: reply arrived with the page (Fig. 10 I).
-                gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
-                    hostEq_.now(), [this, req]() {
-                        gpus_[static_cast<std::size_t>(req->gpu)]
-                            ->translationReturned(req);
-                    });
-                return;
-            }
-            sim::Tick t0 = hostEq_.now();
-            net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
+            return;
+        }
+        sim::Tick t0 = hostEq_.now();
+        net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
+            // Delivered on GPU g's queue.
+            sim::Tick now = gpuQs_[static_cast<std::size_t>(g)]->now();
+            obs::ProfScope prof(profiler(), obs::ProfBucket::Interconnect);
+            mmu::chargeHop(*req, attribEngine(), obs::AttribBucket::Network,
+                           starHop(-1, g, net_.fromHost(g).latency(),
+                                   static_cast<double>(now - t0)),
+                           t0);
+            gpus_[static_cast<std::size_t>(g)]->translationReturned(req);
+        });
+    };
+    auto forward_to_gpu = [this](mmu::RemoteLookupPtr rl) {
+        sim::Tick t0 = hostEq_.now();
+        int target = rl->targetGpu;
+        net_.fromHost(target).sendCtrl(
+            kCtrlMsgBytes, [this, rl, t0, target]() {
+                // Delivered on GPU `target`'s queue.
                 sim::Tick now =
-                    gpuQs_[static_cast<std::size_t>(g)]->now();
+                    gpuQs_[static_cast<std::size_t>(target)]->now();
                 obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
-                mmu::chargeHop(*req, attribEngine(),
+                mmu::chargeHop(*rl->req, attribEngine(),
                                obs::AttribBucket::Network,
-                               starHop(-1, g,
-                                       net_.fromHost(g).latency(),
+                               starHop(-1, target,
+                                       net_.fromHost(target).latency(),
                                        static_cast<double>(now - t0)),
                                t0);
-                gpus_[static_cast<std::size_t>(g)]->translationReturned(
-                    req);
-            });
-        };
-        driver_->forwardToGpu = [this](mmu::RemoteLookupPtr rl) {
-            int target = rl->targetGpu;
-            net_.fromHost(target).sendCtrl(kCtrlMsgBytes, [this, rl,
-                                                       target]() {
-                obs::ProfScope prof(profiler(),
-                                    obs::ProfBucket::Interconnect);
                 gpus_[static_cast<std::size_t>(target)]
                     ->remoteLookupRequest(rl);
             });
-        };
+    };
+    if (cfg_.faultMode == cfg::FaultMode::HostMmu) {
+        hostMmu_ = std::make_unique<mmu::HostMmuCluster>(
+            hostEq_, cfg_, central_, *engine_, ft_.get(), ifaces, rng_);
+        hostMmu_->onResolved = on_resolved;
+        hostMmu_->forwardToGpu = forward_to_gpu;
+    } else {
+        driver_ = std::make_unique<uvm::UvmDriver>(
+            hostEq_, cfg_, central_, *engine_, ft_.get(), rng_);
+        driver_->onResolved = on_resolved;
+        driver_->forwardToGpu = forward_to_gpu;
     }
 
     for (int g = 0; g < cfg_.numGpus; ++g)

@@ -231,9 +231,18 @@ MigrationEngine::migrate(mmu::XlatPtr req, mem::PageInfo &info,
     int dst = req->gpu;
     int src = info.owner;
 
-    // Invalidate every stale copy before the data moves.
-    mmu::charge(*req, attrib_, obs::AttribBucket::Shootdown,
-                static_cast<double>(cfg_.shootdownCost), curTick());
+    // Invalidate every stale copy before the data moves. After a remote
+    // lookup the owner GPU pushes the page at once: the shootdown
+    // overlaps the host notification, nothing waits for it, and nothing
+    // is charged. The zero-migration-cost oracle (Fig. 4, third bar)
+    // removes the whole data-movement latency, shootdown included.
+    sim::Tick serial_shootdown =
+        (req->resolvedByRemote || cfg_.oracle.zeroMigrationCost)
+            ? 0
+            : cfg_.shootdownCost;
+    if (serial_shootdown)
+        mmu::charge(*req, attrib_, obs::AttribBucket::Shootdown,
+                    static_cast<double>(serial_shootdown), curTick());
     for (int g = 0; g < net_.numGpus(); ++g) {
         if ((info.replicaMask >> g) & 1u)
             unmapFrom(g, req->vpn);
@@ -243,15 +252,6 @@ MigrationEngine::migrate(mmu::XlatPtr req, mem::PageInfo &info,
     if (onOwnerChanged)
         onOwnerChanged(req->vpn);
 
-    // When a remote lookup resolved the fault, the owner GPU already
-    // performed the lookup and starts pushing the page immediately; the
-    // shootdown overlaps the host notification instead of preceding the
-    // transfer. The zero-migration-cost oracle (Fig. 4, third bar)
-    // removes the whole data-movement latency, shootdown included.
-    sim::Tick serial_shootdown =
-        (req->resolvedByRemote || cfg_.oracle.zeroMigrationCost)
-            ? 0
-            : cfg_.shootdownCost;
     sim::Tick start = curTick() + serial_shootdown;
     schedule(serial_shootdown, [this, req, done = std::move(done), dst,
                                 src, start]() mutable {

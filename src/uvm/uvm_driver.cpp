@@ -19,7 +19,6 @@ UvmDriver::handleFault(mmu::XlatPtr req)
 {
     obs::ProfScope prof(profiler_, obs::ProfBucket::HostMmu);
     ++stats_.faults;
-    req->tHostArrive = curTick();
 
     auto it = inflight_.find(req->vpn);
     if (it != inflight_.end()) {
@@ -209,10 +208,13 @@ UvmDriver::remoteLookupDone(mmu::RemoteLookupPtr rl)
     mmu::XlatPtr req = rl->req;
     if (!rl->success) {
         // FT false positive: fall back to a software walk (the
-        // remoteForwarded flag keeps startWalk from re-forwarding).
+        // remoteForwarded flag keeps startWalk from re-forwarding). The
+        // walk queue wait restarts now: the first wait, the FT probe
+        // and the forward's round trip are charged already.
         ++stats_.forwardFail;
         if (attrib_)
             attrib_->forwardOutcome(req->lat, false, false, 0, curTick());
+        req->tHostArrive = curTick();
         walkQueue_.push_back(std::move(req));
         dispatchWalks();
         return;

@@ -50,7 +50,11 @@ class UvmDriver : public sim::SimObject
               mem::PageTable &central, MigrationEngine &engine,
               core::FtCluster *ft, sim::Rng &rng);
 
-    /** A far fault arrived over the CPU-GPU interconnect. */
+    /**
+     * A far fault arrived over the CPU-GPU interconnect. The caller
+     * stamps @p req's tHostArrive on delivery; the queue wait, including
+     * a coalesced fault's wait for its page's leader, counts from it.
+     */
     void handleFault(mmu::XlatPtr req);
 
     /** Remote lookup notification (Trans-FW on driver faults). */

@@ -607,7 +607,7 @@ runKeepingTimelines(const std::string &app, const cfg::SystemConfig &config,
 
 TEST(AttributionSystem, KeepingTimelinesChangesNoResult)
 {
-    // explain_request's path: timelines route every charge through the
+    // `transfw explain`'s path: timelines route every charge through the
     // engine and trace migration payloads hop by hop. Neither may move
     // a simulated result or an attribution total.
     cfg::SystemConfig remote_map = sys::transFwConfig();

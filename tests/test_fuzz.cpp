@@ -44,16 +44,24 @@ randomSpec(sim::Rng &rng, int index)
     return spec;
 }
 
+/**
+ * A random config over every axis the transfw CLI's flag table accepts:
+ * 1-16 GPUs on all four fabrics, both fault paths (the host-MMU path
+ * sharded 1-4 ways, its FT partitioned or replicated), 4 KB or 2 MB
+ * pages, every PW-cache kind, and the ASAP and Least-TLB comparators.
+ */
 cfg::SystemConfig
 randomConfig(sim::Rng &rng)
 {
     cfg::SystemConfig config = sys::baselineConfig();
-    config.numGpus = 1 + static_cast<int>(rng.range(6));
+    config.numGpus = 1 + static_cast<int>(rng.range(16));
     config.cusPerGpu = 2 + static_cast<int>(rng.range(8));
     config.wavefrontSlotsPerCu = 1 + static_cast<int>(rng.range(4));
     config.gmmuWalkers = 1 + static_cast<int>(rng.range(8));
     config.hostWalkers = 1 + static_cast<int>(rng.range(16));
     config.pageTableLevels = rng.chance(0.5) ? 4 : 5;
+    config.pageShift =
+        rng.chance(0.2) ? mem::kLargePageShift : mem::kSmallPageShift;
     config.transFw.enabled = rng.chance(0.5);
     config.transFw.enableShortCircuit = rng.chance(0.8);
     config.transFw.enableForwarding = rng.chance(0.8);
@@ -61,24 +69,22 @@ randomConfig(sim::Rng &rng)
     config.prewarmPlacement = rng.chance(0.8);
     config.faultMode = rng.chance(0.25) ? cfg::FaultMode::UvmDriver
                                         : cfg::FaultMode::HostMmu;
-    switch (rng.range(3)) {
-      case 0:
-        config.migrationPolicy = cfg::MigrationPolicy::OnTouch;
-        break;
-      case 1:
-        config.migrationPolicy = cfg::MigrationPolicy::ReadReplicate;
-        break;
-      default:
-        config.migrationPolicy = cfg::MigrationPolicy::RemoteMap;
-        break;
-    }
-    config.pwcKind = rng.chance(0.3) ? pwc::PwcKind::Stc
-                                     : pwc::PwcKind::Utc;
+    if (config.faultMode == cfg::FaultMode::HostMmu)
+        config.hostShards = 1 + static_cast<int>(rng.range(4));
+    config.transFw.ftReplicated = config.hostShards > 1 && rng.chance(0.5);
+    config.migrationPolicy =
+        static_cast<cfg::MigrationPolicy>(rng.range(3));
+    config.pwcKind = static_cast<pwc::PwcKind>(rng.range(3));
     config.memModel = rng.chance(0.3) ? cfg::MemModel::Hierarchy
                                       : cfg::MemModel::Simple;
-    config.peerTopology = rng.chance(0.3) ? ic::Topology::Ring
-                                          : ic::Topology::AllToAll;
+    config.peerTopology = static_cast<ic::Topology>(rng.range(4));
+    config.meshCols =
+        rng.chance(0.5) ? 0 : 1 + static_cast<int>(rng.range(
+                                      static_cast<std::uint64_t>(
+                                          config.numGpus)));
+    config.switchRadix = 1 + static_cast<int>(rng.range(8));
     config.asap.enabled = rng.chance(0.2);
+    config.leastTlb.enabled = rng.chance(0.2);
     config.seed = rng.next();
     return config;
 }
@@ -88,16 +94,13 @@ randomConfig(sim::Rng &rng)
 TEST(Fuzz, RandomWorkloadsAndConfigsRunToCompletion)
 {
     sim::Rng rng(0xF0220ULL);
-    for (int trial = 0; trial < 25; ++trial) {
+    for (int trial = 0; trial < 60; ++trial) {
         wl::SyntheticSpec spec = randomSpec(rng, trial);
         wl::SyntheticWorkload workload(spec);
         cfg::SystemConfig config = randomConfig(rng);
 
-        SCOPED_TRACE(sim::strfmt(
-            "trial %d: gpus=%d policy=%d mode=%d transfw=%d", trial,
-            config.numGpus, static_cast<int>(config.migrationPolicy),
-            static_cast<int>(config.faultMode),
-            config.transFw.enabled ? 1 : 0));
+        SCOPED_TRACE(sim::strfmt("trial %d: %s", trial,
+                                 config.summary().c_str()));
 
         sys::SimResults r = sys::runWorkload(workload, config);
         // Accounting invariants.
@@ -108,6 +111,8 @@ TEST(Fuzz, RandomWorkloadsAndConfigsRunToCompletion)
         EXPECT_GE(r.pageAccesses, r.memOps);
         EXPECT_EQ(r.forwards, r.forwardSuccess + r.forwardFail);
         EXPECT_LE(r.prtHits, r.prtLookups);
+        EXPECT_EQ(r.obsCheckViolations, 0u);
+        EXPECT_GT(r.obsCheckedRequests, 0u);
     }
 }
 

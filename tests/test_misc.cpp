@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+
 #include "config/config.hpp"
 #include "mem/frame_allocator.hpp"
 #include "mmu/walk_timing.hpp"
+#include "sim/task_pool.hpp"
 #include "system/experiment.hpp"
 
 using namespace transfw;
@@ -68,25 +73,56 @@ TEST(Config, ValidateRejectsNonsense)
                 "pageShift");
 }
 
-TEST(Config, ModeConfigMapsTheFourToolModes)
+// One death test per range rule: each exits 1 through a fatal that
+// names the field, never through a signal.
+TEST(Config, ValidateRejectsZeroSlots)
 {
-    EXPECT_EQ(sys::modeConfig("baseline").key(), sys::baselineConfig().key());
-    EXPECT_EQ(sys::modeConfig("transfw").key(), sys::transFwConfig().key());
-    cfg::SystemConfig sw = sys::modeConfig("sw");
-    EXPECT_EQ(sw.faultMode, cfg::FaultMode::UvmDriver);
-    EXPECT_FALSE(sw.transFw.enabled);
-    cfg::SystemConfig sw_fw = sys::modeConfig("sw-transfw");
-    EXPECT_EQ(sw_fw.faultMode, cfg::FaultMode::UvmDriver);
-    EXPECT_TRUE(sw_fw.transFw.enabled);
+    // Used to pass and panic only after the run drained.
+    cfg::SystemConfig config;
+    config.wavefrontSlotsPerCu = 0;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "wavefrontSlotsPerCu must be positive");
 }
 
-TEST(Config, ModeConfigRejectsUnknownModes)
+TEST(Config, ValidateRejectsZeroPwcEntries)
 {
-    // A typo used to run the baseline silently.
-    EXPECT_EXIT(sys::modeConfig("tranfsw"), ::testing::ExitedWithCode(1),
-                "unknown mode 'tranfsw'");
-    EXPECT_EXIT(sys::modeConfig(""), ::testing::ExitedWithCode(1),
-                "unknown mode");
+    // Used to die inside SetAssoc, naming neither flag nor field.
+    cfg::SystemConfig config;
+    config.pwcEntries = 0;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "pwcEntries must be positive");
+}
+
+TEST(Config, ValidateRejectsNonFiniteOrNegativeThreshold)
+{
+    // nan and inf used to pass (nan < 0 is false) and reach the
+    // size_t cast in forwardQueueTrigger().
+    for (double t : {std::nan(""), HUGE_VAL, -0.5}) {
+        cfg::SystemConfig config;
+        config.transFw.forwardThreshold = t;
+        EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                    "forwardThreshold must be a finite number >= 0")
+            << t;
+    }
+}
+
+TEST(Config, ValidateRejectsAsapAccuracyOutsideUnitRange)
+{
+    for (double a : {-0.1, 1.5, std::nan("")}) {
+        cfg::SystemConfig config;
+        config.asap.accuracy = a;
+        EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                    "asap.accuracy must be in \\[0, 1\\]")
+            << a;
+    }
+}
+
+TEST(Config, ForwardTriggerSaturatesPastAnyQueue)
+{
+    cfg::SystemConfig config;
+    config.transFw.forwardThreshold = 1e300;
+    EXPECT_EQ(config.forwardQueueTrigger(),
+              std::numeric_limits<std::size_t>::max());
 }
 
 TEST(Config, ForwardTriggerScalesWithWalkers)
@@ -152,6 +188,36 @@ TEST(Experiment, EffectiveScale)
     setenv("TRANSFW_SCALE", "0.25", 1);
     EXPECT_DOUBLE_EQ(sys::effectiveScale(0.0), 0.25);
     unsetenv("TRANSFW_SCALE");
+}
+
+TEST(Experiment, EffectiveScaleRejectsMalformedValues)
+{
+    // TRANSFW_SCALE=abc used to run at scale 1.0, --scale -1 at the
+    // default scale.
+    for (const char *bad : {"abc", "0.25x", "", "0", "-1", "nan", "inf"}) {
+        setenv("TRANSFW_SCALE", bad, 1);
+        EXPECT_EXIT(sys::effectiveScale(0.0), ::testing::ExitedWithCode(1),
+                    "TRANSFW_SCALE must be a positive number")
+            << bad;
+    }
+    unsetenv("TRANSFW_SCALE");
+    EXPECT_EXIT(sys::effectiveScale(-1.0), ::testing::ExitedWithCode(1),
+                "scale must be positive");
+}
+
+TEST(Experiment, JobsEnvironmentParsesStrictly)
+{
+    setenv("TRANSFW_JOBS", "3", 1);
+    EXPECT_EQ(sim::TaskPool::envThreads(), 3u);
+    for (const char *bad : {"x", "4x", "0", "-2", ""}) {
+        setenv("TRANSFW_JOBS", bad, 1);
+        EXPECT_EXIT(sim::TaskPool::envThreads(),
+                    ::testing::ExitedWithCode(1),
+                    "TRANSFW_JOBS must be a positive integer")
+            << bad;
+    }
+    unsetenv("TRANSFW_JOBS");
+    EXPECT_EQ(sim::TaskPool::envThreads(), 0u);
 }
 
 TEST(Experiment, SpeedupRatio)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
@@ -154,7 +155,8 @@ fabricCase(const char *name, ic::Topology topology, int gpus, int shards)
 std::vector<TraceCase>
 traceCases()
 {
-    cfg::SystemConfig driver = sys::modeConfig("sw-transfw");
+    cfg::SystemConfig driver = sys::transFwConfig();
+    driver.faultMode = cfg::FaultMode::UvmDriver;
     driver.cusPerGpu = 4;
     return {
         fabricCase("Ring16Shards4", ic::Topology::Ring, 16, 4),
@@ -211,3 +213,104 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TraceCase> &info) {
         return std::string(info.param.name);
     });
+
+// ---------------------------------------------------------------------------
+// System: on the serial fault paths every request's wall time is charged.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct BalanceCase
+{
+    const char *name;
+    const char *app;
+    cfg::FaultMode faultMode;
+    bool transFw;
+};
+
+void
+PrintTo(const BalanceCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class WallEqualsCharged : public ::testing::TestWithParam<BalanceCase>
+{};
+
+} // namespace
+
+// The host-MMU baseline and both UVM-driver modes run each request's
+// phases one after another (a driver forward replaces its walk rather
+// than racing it), so every finished request's charged total must equal
+// its wall time: a coalesced fault's wait behind its page's leader, a
+// failed forward's re-queue and the driver's forward hop are all
+// charged, and nothing is charged twice.
+TEST_P(WallEqualsCharged, OnEveryFinishedRequest)
+{
+    const BalanceCase &c = GetParam();
+    cfg::SystemConfig config = sys::baselineConfig();
+    config.faultMode = c.faultMode;
+    config.transFw.enabled = c.transFw;
+    auto workload = wl::makeApp(c.app, 0.25);
+    sys::MultiGpuSystem system(config, *workload);
+    system.obs().attribution.setKeepTimelines(true);
+    sys::SimResults r = system.run();
+    EXPECT_EQ(r.obsCheckViolations, 0u);
+
+    std::size_t checked = 0, unbalanced = 0;
+    for (const obs::Timeline &tl : system.obs().attribution.timelines()) {
+        if (!tl.finished)
+            continue;
+        const auto buckets = tl.buckets();
+        double charged = 0;
+        for (double b : buckets)
+            charged += b;
+        double wall = static_cast<double>(tl.tFinish - tl.tIssue);
+        ++checked;
+        if (std::abs(wall - charged) > 1.0 && unbalanced++ < 3)
+            ADD_FAILURE() << "gpu" << tl.gpu << " req " << tl.id << ": wall "
+                          << wall << ", charged " << charged;
+    }
+    EXPECT_EQ(unbalanced, 0u) << "of " << checked;
+    EXPECT_EQ(checked, r.attribution.requests);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SerialPaths, WallEqualsCharged,
+    ::testing::Values(
+        BalanceCase{"MTBaseline", "MT", cfg::FaultMode::HostMmu, false},
+        BalanceCase{"MTDriver", "MT", cfg::FaultMode::UvmDriver, false},
+        BalanceCase{"MTDriverTransFw", "MT", cfg::FaultMode::UvmDriver,
+                    true},
+        BalanceCase{"KMBaseline", "KM", cfg::FaultMode::HostMmu, false},
+        BalanceCase{"KMDriver", "KM", cfg::FaultMode::UvmDriver, false},
+        BalanceCase{"KMDriverTransFw", "KM", cfg::FaultMode::UvmDriver,
+                    true}),
+    [](const ::testing::TestParamInfo<BalanceCase> &info) {
+        return std::string(info.param.name);
+    });
+
+// A remote win overlaps the shootdown with the owner's page push, so
+// nothing waits for it and it is charged nothing.
+TEST(TimelineBalance, RemoteWinsChargeNoShootdown)
+{
+    auto workload = wl::makeApp("MT", 0.25);
+    sys::MultiGpuSystem system(sys::transFwConfig(), *workload);
+    system.obs().attribution.setKeepTimelines(true);
+    sys::SimResults r = system.run();
+    ASSERT_GT(r.attribution.remoteWins, 0u);
+    std::size_t wins = 0;
+    for (const obs::Timeline &tl : system.obs().attribution.timelines()) {
+        bool won = false;
+        for (const obs::AttribEvent &ev : tl.events)
+            won |= ev.kind == obs::AttribEvent::Kind::RemoteWon;
+        if (!won)
+            continue;
+        ++wins;
+        EXPECT_EQ(tl.buckets()[static_cast<std::size_t>(
+                      obs::AttribBucket::Shootdown)],
+                  0.0)
+            << "gpu" << tl.gpu << " req " << tl.id;
+    }
+    EXPECT_EQ(wins, r.attribution.remoteWins);
+}
