@@ -479,7 +479,6 @@ inspectCmd(const Args &args)
             {{"watchdog checked requests", r.obsCheckedRequests},
              {"watchdog violations", r.obsCheckViolations}});
 
-#if TRANSFW_OBS
     // Per-link congestion: where on the fabric routed traffic queued.
     std::vector<const sys::SimResults::FabricLinkStats *> busy;
     std::uint64_t edges = 0;
@@ -523,7 +522,6 @@ inspectCmd(const Args &args)
                  {"events per second", r.hostEventsPerSec},
                  {"peak event backlog", r.peakEventBacklog}});
     }
-#endif
 
     section("TLBs", {{"L1 hit rate", r.l1HitRate}, {"L2 hit rate", r.l2HitRate},
                      {"host TLB hit rate", r.hostTlbHitRate}});
@@ -550,13 +548,11 @@ inspectCmd(const Args &args)
                         i, ull(r.hostShardWalks[i]),
                         r.hostShardQueueWaitMean[i],
                         ull(r.hostShardMaxQueueDepth[i]));
-#if TRANSFW_OBS
         for (const auto &hg : r.hotVpnGroups)
             std::printf("  hot group %#14llx -> shard %-2d %10llu "
                         "lookups (err %llu, %5.1f%%)\n",
                         ull(hg.group), hg.shard, ull(hg.count),
                         ull(hg.error), 100.0 * hg.share);
-#endif
     }
     section("page movement",
             {{"migrations", r.migrations}, {"replications", r.replications},
@@ -574,13 +570,11 @@ inspectCmd(const Args &args)
                  {"forward fail", r.forwardFail},
                  {"duplicate walks", r.duplicateWalks},
                  {"removed from queue", r.removedFromQueue}});
-#if TRANSFW_OBS
         double top8 = 0;
         for (const auto &hg : r.hotVpnGroups)
             top8 += hg.share;
         if (!r.hotVpnGroups.empty())
             section(nullptr, {{"hot-group top-8 share", std::min(top8, 1.0)}});
-#endif
     }
 
     std::printf("[pw-cache hit levels, %% of lookups]\n");

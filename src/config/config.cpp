@@ -152,6 +152,13 @@ SystemConfig::validate() const
         sim::fatal("meshCols exceeds numGpus");
     if (switchRadix < 1)
         sim::fatal("switchRadix must be positive");
+    // ic::Link::send divides a message's size by the link bandwidth.
+    if (!(std::isfinite(hostLink.bytesPerCycle) &&
+          hostLink.bytesPerCycle > 0))
+        sim::fatal("hostLink.bytesPerCycle must be a finite number > 0");
+    if (!(std::isfinite(peerLink.bytesPerCycle) &&
+          peerLink.bytesPerCycle > 0))
+        sim::fatal("peerLink.bytesPerCycle must be a finite number > 0");
     if (transFw.ftReplicated && hostShards == 1)
         sim::warn("ftReplicated has no effect with a single host shard");
     if (numGpus > 32 && faultMode == FaultMode::UvmDriver)

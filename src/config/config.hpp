@@ -126,11 +126,9 @@ struct ObsConfig
     /**
      * Host-side self-profiler: attribute event-dispatch wall clock to
      * component buckets by sampling one dispatch in profileStride. On
-     * by default, so every ledger record carries a host profile. No
-     * effect (and zero cost) when compiled with TRANSFW_OBS=0, which
-     * removes this profiler and the fabric telemetry; a default MT
-     * Trans-FW run() took 1.06x as long with them compiled in (medians
-     * 0.248 s vs 0.233 s, 10 alternating pairs, 4-thread Xeon VM).
+     * by default, so every ledger record carries a host profile; off,
+     * no queue gets a dispatch hook. Neither this switch, the stride
+     * nor sampleInterval moves a simulated result.
      */
     bool selfProfile = true;
     std::uint32_t profileStride = 16; ///< sample 1 dispatch in N

@@ -9,7 +9,6 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "sim/obs_switch.hpp"
 #include "sim/sim_object.hpp"
 
 namespace transfw::ic {
@@ -84,9 +83,7 @@ class Link : public sim::SimObject
         eventq().scheduleAt(arrive, std::move(deliver));
         bytesSent_ += bytes;
         ++messages_;
-#if TRANSFW_OBS
         noteData(now, depart - now, ser);
-#endif
         if (timing)
             *timing = HopTiming{depart - now, ser, config_.latency, arrive};
         return arrive;
@@ -107,9 +104,7 @@ class Link : public sim::SimObject
             .scheduleAt(arrive, std::move(deliver));
         bytesSent_ += bytes;
         ++messages_;
-#if TRANSFW_OBS
         ++ctrlMessages_;
-#endif
         if (timing)
             *timing = HopTiming{0, 2, config_.latency, arrive};
         return arrive;
@@ -119,7 +114,6 @@ class Link : public sim::SimObject
     std::uint64_t bytesSent() const { return bytesSent_; }
     std::uint64_t messages() const { return messages_; }
 
-#if TRANSFW_OBS
     /** Control-channel share of messages() (never queues). */
     std::uint64_t ctrlMessages() const { return ctrlMessages_; }
     /** Cumulative data-channel serialization cycles (wire occupancy). */
@@ -168,12 +162,10 @@ class Link : public sim::SimObject
         static const obs::LogHistogram kEmpty;
         return waitHist_ ? *waitHist_ : kEmpty;
     }
-#endif
 
     /**
-     * Register "<link name>.bytes"/".messages" gauges, plus — in
-     * observability builds — ".queueWaitMean", ".peakQueueDepth",
-     * ".queueDepth" and ".utilization".
+     * Register "<link name>.bytes", ".messages", ".queueWaitMean",
+     * ".peakQueueDepth", ".queueDepth" and ".utilization" gauges.
      */
     void
     registerMetrics(obs::MetricRegistry &reg) const
@@ -184,7 +176,6 @@ class Link : public sim::SimObject
         reg.registerGauge(name() + ".messages", [this] {
             return static_cast<double>(messages_);
         });
-#if TRANSFW_OBS
         reg.registerGauge(name() + ".queueWaitMean",
                           [this] { return queueWaitMean(); });
         reg.registerGauge(name() + ".peakQueueDepth", [this] {
@@ -195,11 +186,9 @@ class Link : public sim::SimObject
         });
         reg.registerGauge(name() + ".utilization",
                           [this] { return utilization(); });
-#endif
     }
 
   private:
-#if TRANSFW_OBS
     void
     noteData(sim::Tick now, sim::Tick wait, sim::Tick ser)
     {
@@ -213,19 +202,16 @@ class Link : public sim::SimObject
         peakQueueDepth_ =
             std::max<std::uint64_t>(peakQueueDepth_, inflight_.size());
     }
-#endif
 
     LinkConfig config_;
     sim::Tick busyUntil_ = 0;
     std::uint64_t bytesSent_ = 0;
     std::uint64_t messages_ = 0;
-#if TRANSFW_OBS
     std::uint64_t ctrlMessages_ = 0;
     std::uint64_t busyCycles_ = 0;
     std::uint64_t peakQueueDepth_ = 0;
     std::deque<sim::Tick> inflight_; ///< departure ticks of queued sends
     std::unique_ptr<obs::LogHistogram> waitHist_; ///< lazy, data channel
-#endif
     sim::EventQueue *ctrlTarget_ = nullptr;
 };
 

@@ -223,7 +223,6 @@ class Network
                 fn(*edge.link, true);
     }
 
-#if TRANSFW_OBS
     /**
      * Aggregate traffic by route length: element h describes every
      * routed sendPeer* message whose path was h hops long. waitSum is
@@ -242,7 +241,6 @@ class Network
     {
         return hopDist_;
     }
-#endif
 
     /** Total bytes moved over every link (for traffic accounting). */
     std::uint64_t
@@ -404,14 +402,12 @@ class Network
     {
         if (from == to)
             sim::panic("peer route to self");
-#if TRANSFW_OBS
         if (route_hops < 0) {
             route_hops = peerHops(from, to);
             HopDistAgg &agg = hopDistFor(route_hops);
             ++agg.messages;
             agg.bytes += bytes;
         }
-#endif
         int hop = nextNode(from, to);
         Link *link = findEdge(from, hop);
         if (!link)
@@ -433,15 +429,12 @@ class Network
             link->sendCtrl(bytes, std::move(forward_rest), &timing);
         else
             link->send(bytes, std::move(forward_rest), &timing);
-#if TRANSFW_OBS
         hopDistFor(route_hops).waitSum +=
             static_cast<double>(timing.wait);
-#endif
         if (hook)
             hook(from, hop, timing);
     }
 
-#if TRANSFW_OBS
     HopDistAgg &
     hopDistFor(int hops)
     {
@@ -449,7 +442,6 @@ class Network
             hopDist_.resize(static_cast<std::size_t>(hops) + 1);
         return hopDist_[static_cast<std::size_t>(hops)];
     }
-#endif
 
     sim::EventQueue &eq_;
     int numGpus_;
@@ -462,9 +454,7 @@ class Network
     std::vector<std::unique_ptr<Link>> down_;
     /** Adjacency lists over node ids; owns every fabric link. */
     std::vector<std::vector<Edge>> adj_;
-#if TRANSFW_OBS
     std::vector<HopDistAgg> hopDist_; ///< indexed by route hop count
-#endif
 };
 
 } // namespace transfw::ic

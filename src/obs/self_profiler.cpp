@@ -20,8 +20,6 @@ profBucketName(ProfBucket bucket)
     return "?";
 }
 
-#if TRANSFW_OBS
-
 void
 SelfProfiler::configure(bool enabled, std::uint32_t stride)
 {
@@ -137,7 +135,5 @@ SelfProfiler::reset()
     depth_ = 0;
     probed_ = false;
 }
-
-#endif // TRANSFW_OBS
 
 } // namespace transfw::obs

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "sim/event_queue.hpp"
-#include "sim/obs_switch.hpp"
 
 namespace transfw::obs {
 
@@ -32,8 +31,8 @@ inline constexpr std::size_t kNumProfBuckets = 10;
 const char *profBucketName(ProfBucket bucket);
 
 /**
- * One run's host-side profile. Plain data, present (and all-zero) even
- * under TRANSFW_OBS=0 so SimResults keeps a stable shape. Seconds are
+ * One run's host-side profile. Plain data, present (and all-zero) when
+ * the profiler is off so SimResults keeps a stable shape. Seconds are
  * scaled estimates: the profiler samples one dispatch in `stride`, so
  * every measured interval is multiplied by the stride when snapshotted.
  * By construction sum(seconds[]) equals totalSeconds (both accumulate
@@ -57,8 +56,6 @@ struct HostProfile
     }
 };
 
-#if TRANSFW_OBS
-
 /**
  * Wall-clock self-profiler for the simulator itself: attributes host
  * time spent inside event dispatch to component buckets, the ground
@@ -73,8 +70,8 @@ struct HostProfile
  * sum always equals the measured dispatch window. Unsampled dispatches
  * cost one counter increment and two virtual calls, keeping the
  * enabled-profiler overhead well under the 5% events/sec budget;
- * compiled out (TRANSFW_OBS=0) the hook is never installed and every
- * scope is an empty object.
+ * switched off (cfg::ObsConfig::selfProfile false) the hook is never
+ * installed and every scope costs one branch.
  */
 class SelfProfiler final : public sim::EventQueue::DispatchHook
 {
@@ -167,31 +164,6 @@ class ProfScope
   private:
     SelfProfiler *profiler_;
 };
-
-#else // !TRANSFW_OBS
-
-/** Compiled-out stub: never installable, measures nothing. */
-class SelfProfiler
-{
-  public:
-    void configure(bool, std::uint32_t) {}
-    bool enabled() const { return false; }
-    bool sampling() const { return false; }
-    void enter(ProfBucket) {}
-    void exit() {}
-    HostProfile snapshot() const { return {}; }
-    double recentEventsPerSec() { return 0.0; }
-    void reset() {}
-};
-
-/** Compiled-out scope: an empty object the optimiser erases. */
-class ProfScope
-{
-  public:
-    ProfScope(SelfProfiler *, ProfBucket) {}
-};
-
-#endif // TRANSFW_OBS
 
 } // namespace transfw::obs
 

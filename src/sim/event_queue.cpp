@@ -205,14 +205,12 @@ EventQueue::fire(Entry e)
     if (!e.weak)
         --strong_;
     --size_;
-#if TRANSFW_OBS
     if (hook_) {
         hook_->beginDispatch();
         e.cb();
         hook_->endDispatch();
         return;
     }
-#endif
     e.cb();
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/obs_switch.hpp"
 #include "sim/ticks.hpp"
 
 namespace transfw::sim {
@@ -43,13 +42,13 @@ class EventQueue
     /** Near-future window covered by the bucket ring (power of two). */
     static constexpr std::size_t kWindow = 1024;
 
-#if TRANSFW_OBS
     /**
      * Observer of event-dispatch boundaries (the obs::SelfProfiler).
      * beginDispatch() fires immediately before a callback is invoked
      * and endDispatch() immediately after; both run on the hot path,
      * so implementations must keep the common case to a few
-     * instructions. Compiled out entirely under TRANSFW_OBS=0.
+     * instructions. With no hook installed (the profiler off) a
+     * dispatch pays one null-pointer test.
      */
     class DispatchHook
     {
@@ -61,7 +60,6 @@ class EventQueue
 
     /** Install (or clear, with nullptr) the dispatch observer. */
     void setDispatchHook(DispatchHook *hook) { hook_ = hook; }
-#endif
 
     /**
      * High-water mark of queued events (strong + weak) over the queue's
@@ -217,9 +215,7 @@ class EventQueue
     std::size_t strong_ = 0;
     std::size_t size_ = 0; ///< live events, strong + weak
     std::size_t peak_ = 0; ///< lifetime high-water mark of size_
-#if TRANSFW_OBS
     DispatchHook *hook_ = nullptr;
-#endif
     std::array<Bucket, kWindow> buckets_;
     /** Bit i set ⇔ buckets_[i] has undrained entries. */
     std::array<std::uint64_t, kWindow / 64> liveBits_{};

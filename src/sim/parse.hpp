@@ -12,17 +12,23 @@ namespace transfw::sim {
 /**
  * Strict parse of a whole token as a T: "4x", "", " 4" and values out
  * of T's range are rejected, and so are a minus sign for unsigned T and
- * nan/inf for floating-point T. The one number parser behind the
- * command-line flags and the TRANSFW_* environment variables.
+ * nan/inf for floating-point T. Integral T read digits in @p base (16
+ * takes hex digits with no "0x" prefix). The one number parser behind
+ * the command-line flags, the TRANSFW_* environment variables and
+ * trace files.
  */
 template <typename T>
 std::optional<T>
-parseToken(std::string_view text)
+parseToken(std::string_view text, int base = 10)
 {
     T value{};
     const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end)
+    std::from_chars_result res{};
+    if constexpr (std::is_integral_v<T>)
+        res = std::from_chars(text.data(), end, value, base);
+    else
+        res = std::from_chars(text.data(), end, value);
+    if (res.ec != std::errc() || res.ptr != end)
         return std::nullopt;
     if constexpr (std::is_floating_point_v<T>) {
         if (!std::isfinite(value))

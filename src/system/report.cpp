@@ -264,25 +264,19 @@ toRegistry(const SimResults &results)
                      results.shardSkewLoadShareMax);
         registry.set("shard.skew.loadCv", results.shardSkewLoadCv);
     }
-    // Fabric telemetry: fabricLinks is populated only in observability
-    // builds, so TRANSFW_OBS=0 registries — and ledgers diffed against
-    // them — keep their key set, the same gating rule as shard.*.
-    if (!results.fabricLinks.empty()) {
-        std::size_t fabric_edges = 0;
-        for (const auto &fl : results.fabricLinks)
-            if (fl.fabric)
-                ++fabric_edges;
-        registry.set("fabric.links",
-                     static_cast<double>(fabric_edges));
-        registry.set("fabric.worstQueueWaitP99",
-                     results.fabricWorstQueueWaitP99);
-        registry.set("fabric.meanUtilization",
-                     results.fabricMeanUtilization);
-        if (!results.fabricHopDist.empty())
-            registry.set(
-                "fabric.maxRouteHops",
-                static_cast<double>(results.fabricHopDist.back().hops));
-    }
+    // Fabric telemetry: routed edges, the worst one's tail queue wait,
+    // mean utilization and the longest route taken.
+    std::size_t fabric_edges = 0;
+    for (const auto &fl : results.fabricLinks)
+        if (fl.fabric)
+            ++fabric_edges;
+    registry.set("fabric.links", static_cast<double>(fabric_edges));
+    registry.set("fabric.worstQueueWaitP99",
+                 results.fabricWorstQueueWaitP99);
+    registry.set("fabric.meanUtilization", results.fabricMeanUtilization);
+    if (!results.fabricHopDist.empty())
+        registry.set("fabric.maxRouteHops",
+                     static_cast<double>(results.fabricHopDist.back().hops));
     if (!results.hotVpnGroups.empty()) {
         double top8 = 0;
         for (const auto &hg : results.hotVpnGroups)

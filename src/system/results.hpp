@@ -99,7 +99,7 @@ struct SimResults
     std::uint64_t ftReplicaUpdates = 0;
     std::uint64_t ftReplicaInvalidations = 0;
 
-    // --- fabric telemetry (per-link; empty under TRANSFW_OBS=0) --------------
+    // --- fabric telemetry (one row per link, host star legs included) -------
     /** One interconnect edge's traffic summary, read off ic::Link. */
     struct FabricLinkStats
     {

@@ -273,7 +273,6 @@ MultiGpuSystem::setupObservability()
                                       prefix + ".prt.observedFpRate");
         }
     }
-#if TRANSFW_OBS
     // Fabric heat as counter tracks: every fabric edge's instantaneous
     // queue depth and utilization ride the same deterministic sample
     // grid as the columns above (the trace viewer renders each as its
@@ -286,7 +285,6 @@ MultiGpuSystem::setupObservability()
         sampler.addRegistryColumn(reg, link.name() + ".queueDepth");
         sampler.addRegistryColumn(reg, link.name() + ".utilization");
     });
-#endif
 }
 
 void
@@ -531,13 +529,11 @@ MultiGpuSystem::run()
 
     obs_->profiler.configure(cfg_.obs.selfProfile,
                              cfg_.obs.profileStride);
-#if TRANSFW_OBS
     if (obs_->profiler.enabled()) {
         hostEq_.setDispatchHook(&obs_->profiler);
         for (auto &q : gpuQs_)
             q->setDispatchHook(&obs_->profiler);
     }
-#endif
 
     for (auto &cu : cus_)
         cu->start();
@@ -547,11 +543,9 @@ MultiGpuSystem::run()
         std::chrono::duration_cast<std::chrono::duration<double>>(
             std::chrono::steady_clock::now() - wall0)
             .count();
-#if TRANSFW_OBS
     hostEq_.setDispatchHook(nullptr);
     for (auto &q : gpuQs_)
         q->setDispatchHook(nullptr);
-#endif
 
     if (scheduler_.remaining() != 0)
         sim::panic("simulation drained with unscheduled CTAs");
@@ -695,15 +689,13 @@ MultiGpuSystem::collect()
         r.ftReplicaInvalidations = ft_->replicaInvalidations();
     }
 
-    // Shard skew scalars — derived from the always-on per-shard stats,
-    // so they exist (as neutral values) in no-observability builds too.
+    // Shard skew scalars, derived from the per-shard stats above.
     if (hostMmu_) {
         r.shardSkewWaitRatio = hostMmu_->shardWaitRatio();
         r.shardSkewLoadShareMax = hostMmu_->shardLoadShareMax();
         r.shardSkewLoadCv = hostMmu_->shardLoadCv();
     }
 
-#if TRANSFW_OBS
     // Fabric telemetry: one row per link in forEachLink's stable order,
     // the worst-fabric-edge scalars the ledger keys summarize, and the
     // routed-traffic hop-distance mix. Utilization is busy wire cycles
@@ -769,7 +761,6 @@ MultiGpuSystem::collect()
             r.hotVpnGroups.push_back(hg);
         }
     }
-#endif
 
     const uvm::MigrationEngine::Stats &es = engine_->stats();
     r.migrations = es.migrations;

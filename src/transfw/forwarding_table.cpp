@@ -36,13 +36,11 @@ std::optional<int>
 ForwardingTable::findOwner(mem::Vpn vpn, int num_gpus, int exclude_gpu)
 {
     ++lookups_;
-#if TRANSFW_OBS
     // Skew tracker: lookups at VPN-group granularity — the same unit
     // the shard hash partitions on, so the sketch's heavy hitters are
     // exactly the groups that keep the hot shard hot.
     if (hotGroups_)
         hotGroups_->note(vpn >> maskBits_);
-#endif
     int candidates[64];
     int n = 0;
     for (int gpu = 0; gpu < num_gpus; ++gpu) {

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/topk.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/obs_switch.hpp"
 #include "sim/random.hpp"
 
 namespace transfw::core {
@@ -57,7 +56,6 @@ class ForwardingTable
     {
         return filter_.overflowEvictions();
     }
-#if TRANSFW_OBS
     /**
      * Tap every findOwner into a frequency sketch at VPN-group
      * granularity. The sketch outlives the table (FtCluster owns
@@ -65,7 +63,6 @@ class ForwardingTable
      * their table slice directly, below any cluster-level routing.
      */
     void setHotGroupSketch(obs::TopK *sketch) { hotGroups_ = sketch; }
-#endif
 
     /** Per-GPU-id probes where the filter hit with no live reference. */
     std::uint64_t observedFalsePositives() const { return falsePositives_; }
@@ -125,9 +122,7 @@ class ForwardingTable
     std::uint64_t hits_ = 0;
     std::uint64_t probes_ = 0;
     std::uint64_t falsePositives_ = 0;
-#if TRANSFW_OBS
     obs::TopK *hotGroups_ = nullptr; ///< cluster-owned lookup sketch
-#endif
 };
 
 } // namespace transfw::core

@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/topk.hpp"
 #include "sim/logging.hpp"
-#include "sim/obs_switch.hpp"
 #include "transfw/forwarding_table.hpp"
 
 namespace transfw::core {
@@ -74,14 +73,12 @@ class FtCluster
         for (int s = 0; s < shards_; ++s)
             tables_.push_back(
                 std::make_unique<ForwardingTable>(shard_cfg));
-#if TRANSFW_OBS
         // The shard MMUs hold raw per-shard table pointers and probe
         // them directly, so the lookup stream is tapped at the table —
         // every path (cluster route, shard-local probe, UVM driver)
         // feeds the one sketch exactly once.
         for (auto &t : tables_)
             t->setHotGroupSketch(&hotGroups_);
-#endif
     }
 
     int shards() const { return shards_; }
@@ -199,7 +196,6 @@ class FtCluster
         return replicaInvalidations_;
     }
 
-#if TRANSFW_OBS
     /** Space-saving sketch over VPN-group lookups (skew tracker). */
     const obs::TopK &hotGroups() const { return hotGroups_; }
     /** Shard a tracked group maps to under the partition hash. */
@@ -209,7 +205,6 @@ class FtCluster
         return shardOfVpnGroup(group << cfg_.vpnMaskBits,
                                cfg_.vpnMaskBits, shards_);
     }
-#endif
 
     /**
      * Register gauges under "<prefix>.". K = 1 delegates to the single
@@ -222,7 +217,6 @@ class FtCluster
     registerMetrics(obs::MetricRegistry &reg,
                     const std::string &prefix) const
     {
-#if TRANSFW_OBS
         // Skew-tracker gauges exist at every shard count (K = 1 still
         // answers "how concentrated is the lookup stream").
         reg.registerGauge(prefix + ".hotGroups.tracked", [this] {
@@ -234,7 +228,6 @@ class FtCluster
         reg.registerGauge(prefix + ".hotGroups.top8Share", [this] {
             return hotGroups_.topShare(8);
         });
-#endif
         if (shards_ == 1) {
             tables_[0]->registerMetrics(reg, prefix);
             return;
@@ -282,9 +275,7 @@ class FtCluster
     std::vector<std::unique_ptr<ForwardingTable>> tables_;
     std::uint64_t replicaUpdates_ = 0;
     std::uint64_t replicaInvalidations_ = 0;
-#if TRANSFW_OBS
     obs::TopK hotGroups_; ///< VPN-group lookup frequency sketch
-#endif
 };
 
 } // namespace transfw::core

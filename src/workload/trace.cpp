@@ -1,11 +1,15 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "sim/logging.hpp"
+#include "sim/parse.hpp"
 
 namespace transfw::wl {
 
@@ -44,62 +48,62 @@ TraceWorkload::TraceWorkload(const std::string &path) : name_(path)
     std::vector<std::pair<mem::Vpn, int>> touches; // (vpn, first cta)
 
     int line_no = 0;
+    auto fail = [&](const std::string &what) {
+        sim::fatal(sim::strfmt("%s:%d: %s", path.c_str(), line_no,
+                               what.c_str()));
+    };
     while (std::getline(in, line)) {
         ++line_no;
-        std::string_view view(line);
-        if (auto hash = view.find('#'); hash != std::string_view::npos)
-            view = view.substr(0, hash);
-        std::istringstream is{std::string(view)};
-        std::string first;
-        if (!(is >> first))
+        std::istringstream is(line.substr(0, line.find('#')));
+        std::vector<std::string> tok;
+        for (std::string t; is >> t;)
+            tok.push_back(std::move(t));
+        if (tok.empty())
             continue; // blank/comment line
 
         if (!have_header) {
-            if (first != "trace-v1" || !(is >> numCtas_) || numCtas_ <= 0)
-                sim::fatal(sim::strfmt(
-                    "%s:%d: expected 'trace-v1 <numCtas>'", path.c_str(),
-                    line_no));
+            std::optional<int> n = tok.size() == 2 && tok[0] == "trace-v1"
+                                       ? sim::parseToken<int>(tok[1])
+                                       : std::nullopt;
+            if (!n || *n <= 0)
+                fail("expected 'trace-v1 <numCtas>'");
+            numCtas_ = *n;
             opsPerCta_.resize(static_cast<std::size_t>(numCtas_));
             have_header = true;
             continue;
         }
 
-        int cta = 0;
+        if (tok.size() < 3)
+            fail("malformed op line: expected '<cta> <gap> <access>...'");
+        std::optional<int> cta = sim::parseToken<int>(tok[0]);
+        if (!cta || *cta < 0 || *cta >= numCtas_)
+            fail(sim::strfmt("malformed op line: CTA '%s' is not in 0..%d",
+                             tok[0].c_str(), numCtas_ - 1));
+        // instructions = 1 + gap must fit the op's 32-bit count too.
+        std::optional<std::uint32_t> gap =
+            sim::parseToken<std::uint32_t>(tok[1]);
+        if (!gap || *gap == UINT32_MAX)
+            fail(sim::strfmt("malformed op line: gap '%s' is not in 0..%u",
+                             tok[1].c_str(), UINT32_MAX - 1));
+        if (tok.size() - 2 > static_cast<std::size_t>(MemOp::kMaxPages))
+            fail(sim::strfmt("more than %d accesses in one op",
+                             MemOp::kMaxPages));
         MemOp op;
-        try {
-            cta = std::stoi(first);
-        } catch (...) {
-            cta = -1;
-        }
-        std::uint64_t gap;
-        if (cta < 0 || cta >= numCtas_ || !(is >> gap))
-            sim::fatal(sim::strfmt("%s:%d: malformed op line",
-                                   path.c_str(), line_no));
-        op.computeGap = static_cast<std::uint32_t>(gap);
+        op.computeGap = *gap;
         op.instructions = 1 + op.computeGap;
-        std::string access;
-        while (is >> access && op.numPages < MemOp::kMaxPages) {
-            if (access.size() < 2 ||
-                (access[0] != 'r' && access[0] != 'w'))
-                sim::fatal(sim::strfmt("%s:%d: bad access '%s'",
-                                       path.c_str(), line_no,
-                                       access.c_str()));
-            mem::Vpn vpn = 0;
-            try {
-                vpn = std::stoull(access.substr(1), nullptr, 16);
-            } catch (...) {
-                sim::fatal(sim::strfmt("%s:%d: bad vpn in '%s'",
-                                       path.c_str(), line_no,
-                                       access.c_str()));
-            }
+        for (std::size_t i = 2; i < tok.size(); ++i) {
+            const std::string &access = tok[i];
+            if (access.size() < 2 || (access[0] != 'r' && access[0] != 'w'))
+                fail("bad access '" + access + "'");
+            std::optional<mem::Vpn> vpn = sim::parseToken<mem::Vpn>(
+                std::string_view(access).substr(1), 16);
+            if (!vpn)
+                fail("bad vpn in '" + access + "'");
             op.pages[static_cast<std::size_t>(op.numPages++)] = {
-                vpn, access[0] == 'w'};
-            touches.emplace_back(vpn, cta);
+                *vpn, access[0] == 'w'};
+            touches.emplace_back(*vpn, *cta);
         }
-        if (op.numPages == 0)
-            sim::fatal(sim::strfmt("%s:%d: op with no accesses",
-                                   path.c_str(), line_no));
-        opsPerCta_[static_cast<std::size_t>(cta)].push_back(op);
+        opsPerCta_[static_cast<std::size_t>(*cta)].push_back(op);
     }
     if (!have_header)
         sim::fatal("empty trace file: " + path);

@@ -19,9 +19,12 @@ namespace transfw::wl {
  *   <cta> <computeGap> <r|w><vpn-hex> [<r|w><vpn-hex> ...]
  *
  * One line per coalesced memory op, ops of a CTA in program order
- * (lines of different CTAs may interleave). VPNs are 4 KB-page numbers
- * in hex. The footprint is the set of distinct VPNs; a page's initial
- * owner is the home GPU of the first CTA that touches it.
+ * (lines of different CTAs may interleave), with 1 to
+ * MemOp::kMaxPages accesses. VPNs are 4 KB-page numbers in hex, with
+ * no 0x prefix; CTA ids and gaps are decimal, gaps below 2^32 - 1.
+ * Each number must be the whole token. The footprint is the set of
+ * distinct VPNs; a page's initial owner is the home GPU of the first
+ * CTA that touches it.
  */
 class TraceWorkload : public Workload
 {

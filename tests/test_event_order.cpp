@@ -77,7 +77,6 @@ constexpr sim::Tick kTick = 7;
  *  probe's tick. */
 constexpr sim::Tick kIdle = 10'000'000;
 
-#if TRANSFW_OBS
 /**
  * Records the (tick, queue) key of every dispatch on the host queue
  * (queue 0) and each GPU queue (queue g + 1) and keeps the first step
@@ -147,7 +146,6 @@ class OrderRecorder
     std::size_t lastQueue_ = 0;
     std::string violation_;
 };
-#endif
 
 /**
  * Run @p workload under @p config and require every dispatch of the
@@ -159,20 +157,14 @@ expectCanonicalRun(const wl::Workload &workload, cfg::SystemConfig config)
 {
     config.obs.selfProfile = false;
     sys::MultiGpuSystem system(config, workload);
-#if TRANSFW_OBS
     OrderRecorder rec(system);
-#endif
     sys::SimResults r = system.run();
     EXPECT_GT(r.farFaults, 0u);
     EXPECT_EQ(r.obsCheckViolations, 0u);
-#if TRANSFW_OBS
     EXPECT_EQ(rec.dispatches(), r.eventsExecuted);
     EXPECT_EQ(rec.violation(), "");
     for (std::size_t q = 0; q < rec.perQueue().size(); ++q)
         EXPECT_GT(rec.perQueue()[q], 0u) << "queue " << q << " never ran";
-#else
-    EXPECT_GT(r.eventsExecuted, 0u);
-#endif
 }
 
 } // namespace

@@ -57,8 +57,6 @@ TEST(LinkTiming, CtrlSplitNeverQueues)
     eq.run();
 }
 
-#if TRANSFW_OBS
-
 TEST(LinkTiming, ZeroTrafficLinkHasEmptyButValidHistogram)
 {
     sim::EventQueue eq;
@@ -95,8 +93,6 @@ TEST(LinkTiming, CtrlTrafficIsCountedButNotHistogrammed)
     EXPECT_EQ(link.queueWaitHistogram().count(), 0u);
     eq.run();
 }
-
-#endif // TRANSFW_OBS
 
 // --- ragged / degenerate mesh routing -----------------------------------
 
@@ -161,8 +157,6 @@ TEST(MeshRouting, SingleColumnMeshRoutes)
     eq.run();
     EXPECT_TRUE(done);
 }
-
-#if TRANSFW_OBS
 
 // --- hop-distance aggregates & traced routes ----------------------------
 
@@ -381,5 +375,3 @@ TEST(FabricObsSystem, UvmDriverModePerHopStillBalances)
     EXPECT_GT(r.obsCheckedRequests, 0u);
     EXPECT_EQ(r.obsCheckViolations, 0u);
 }
-
-#endif // TRANSFW_OBS

@@ -2,13 +2,14 @@
  * Cross-run observability: the run ledger (JSONL round-trip, concurrent
  * append), noise-aware diffing (drift, missing keys, schema mismatch,
  * match-by-key pairing, wall tolerance), the host-side self-profiler
- * (bucket-sum sanity, off-by-default cost), and the sweep/job-count
- * integration.
+ * (bucket-sum sanity, off-by-default cost, no effect on any result),
+ * and the sweep/job-count integration.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -285,10 +286,8 @@ TEST(Ledger, RecordCarriesExecAndBacklogMetrics)
     EXPECT_GT(rec.metrics.at("exec.peakEventBacklog"), 0.0);
     EXPECT_GT(rec.metrics.at("exec.cycles"), 0.0);
     EXPECT_FALSE(rec.wallTimestamp.empty());
-#if TRANSFW_OBS
     EXPECT_GT(rec.wall.at("wall_seconds"), 0.0);
     EXPECT_GT(rec.wall.at("profile.total_seconds"), 0.0);
-#endif
 }
 
 TEST(Sweep, LedgerRecordsExecutedPointsWithJobCount)
@@ -333,7 +332,6 @@ TEST(SelfProfiler, BucketsSumToTotalAndProfileIsPopulated)
     config.obs.profileStride = 1; // sample every dispatch
     sys::SimResults r = sys::runApp("MT", config, kScale);
 
-#if TRANSFW_OBS
     const obs::HostProfile &p = r.hostProfile;
     EXPECT_EQ(p.stride, 1u);
     EXPECT_GT(p.dispatches, 0u);
@@ -351,10 +349,6 @@ TEST(SelfProfiler, BucketsSumToTotalAndProfileIsPopulated)
     EXPECT_GT(r.hostWallSeconds, 0.0);
     EXPECT_GT(r.hostEventsPerSec, 0.0);
     EXPECT_GT(r.peakEventBacklog, 0u);
-#else
-    EXPECT_EQ(r.hostProfile.stride, 0u);
-    EXPECT_EQ(r.hostProfile.totalSeconds, 0.0);
-#endif
 }
 
 TEST(SelfProfiler, DisabledProfilerRecordsNothing)
@@ -368,6 +362,45 @@ TEST(SelfProfiler, DisabledProfilerRecordsNothing)
 
     obs::LedgerRecord rec = sys::toLedgerRecord(r, config, kScale, "t");
     EXPECT_EQ(rec.wall.count("profile.total_seconds"), 0u);
+}
+
+TEST(SelfProfiler, InstrumentationChangesNoResult)
+{
+    // The profiler, its stride and the interval sampler only watch the
+    // run: every metric the registry carries must match bit for bit.
+    cfg::SystemConfig driver = sys::transFwConfig();
+    driver.faultMode = cfg::FaultMode::UvmDriver;
+    const std::pair<const char *, cfg::SystemConfig> runs[] = {
+        {"MT", sys::transFwConfig()},
+        {"KM", driver},
+    };
+    using Tweak = void (*)(cfg::ObsConfig &);
+    const std::pair<const char *, Tweak> variants[] = {
+        {"profiler off", [](cfg::ObsConfig &o) { o.selfProfile = false; }},
+        {"stride 1", [](cfg::ObsConfig &o) { o.profileStride = 1; }},
+        {"sampler on", [](cfg::ObsConfig &o) { o.sampleInterval = 500; }},
+    };
+    for (const auto &[app, config] : runs) {
+        ASSERT_TRUE(config.obs.selfProfile);
+        ASSERT_EQ(config.obs.profileStride, 16u);
+        ASSERT_EQ(config.obs.sampleInterval, 0u);
+        std::map<std::string, double> base =
+            sys::toRegistry(sys::runApp(app, config, kScale)).values();
+        ASSERT_GT(base.size(), 100u);
+        for (const auto &[label, tweak] : variants) {
+            SCOPED_TRACE(std::string(app) + ", " + label);
+            cfg::SystemConfig other = config;
+            tweak(other.obs);
+            std::map<std::string, double> got =
+                sys::toRegistry(sys::runApp(app, other, kScale)).values();
+            EXPECT_EQ(got.size(), base.size());
+            for (const auto &[key, value] : base) {
+                auto it = got.find(key);
+                ASSERT_NE(it, got.end()) << key;
+                EXPECT_EQ(it->second, value) << key;
+            }
+        }
+    }
 }
 
 TEST(SelfProfiler, ConfigKeyCoversProfilerKnobs)

@@ -117,6 +117,24 @@ TEST(Config, ValidateRejectsAsapAccuracyOutsideUnitRange)
     }
 }
 
+TEST(Config, ValidateRejectsNonPositiveOrNonFiniteLinkBandwidth)
+{
+    // ic::Link::send divides by bytesPerCycle: a peer link of 0 used to
+    // run to completion on an undefined cast of infinity to a tick.
+    for (double bw : {0.0, -1.0, HUGE_VAL, std::nan("")}) {
+        cfg::SystemConfig host;
+        host.hostLink.bytesPerCycle = bw;
+        EXPECT_EXIT(host.validate(), ::testing::ExitedWithCode(1),
+                    "hostLink.bytesPerCycle must be a finite number > 0")
+            << bw;
+        cfg::SystemConfig peer;
+        peer.peerLink.bytesPerCycle = bw;
+        EXPECT_EXIT(peer.validate(), ::testing::ExitedWithCode(1),
+                    "peerLink.bytesPerCycle must be a finite number > 0")
+            << bw;
+    }
+}
+
 TEST(Config, ForwardTriggerSaturatesPastAnyQueue)
 {
     cfg::SystemConfig config;

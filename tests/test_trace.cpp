@@ -81,6 +81,52 @@ TEST(TraceWorkload, MalformedTracesAreFatal)
         ::testing::ExitedWithCode(1), "malformed");
     EXPECT_EXIT({ wl::TraceWorkload t("/nonexistent/file"); },
                 ::testing::ExitedWithCode(1), "cannot open");
+
+    // Tokens the parser used to read a prefix of, wrap around or drop
+    // without a word. Each must fail naming its line and token.
+    const struct
+    {
+        const char *text;
+        const char *message;
+    } cases[] = {
+        {"trace-v1 2x\n", ":1: expected 'trace-v1 <numCtas>'"},
+        {"trace-v1 2 3\n", ":1: expected 'trace-v1 <numCtas>'"},
+        {"trace-v1 2\n0x 5 r1\n", ":2: malformed op line: CTA '0x'"},
+        {"trace-v1 2\n1.9 5 r1\n", ":2: malformed op line: CTA '1.9'"},
+        {"trace-v1 1\n0 5 r1azz\n", ":2: bad vpn in 'r1azz'"},
+        {"trace-v1 1\n0 5 r-1\n", ":2: bad vpn in 'r-1'"},
+        {"trace-v1 1\n0 5 r0x1a\n", ":2: bad vpn in 'r0x1a'"},
+        {"trace-v1 1\n0 4294967301 r1\n",
+         ":2: malformed op line: gap '4294967301'"},
+        {"trace-v1 1\n0 4294967295 r1\n",
+         ":2: malformed op line: gap '4294967295'"},
+        {"trace-v1 1\n0 -3 r1\n", ":2: malformed op line: gap '-3'"},
+        {"trace-v1 1\n0 5\n", ":2: malformed op line: expected"},
+        {"# five pages\ntrace-v1 1\n\n0 5 r1 r2 r3 r4 r5\n",
+         ":4: more than 4 accesses in one op"},
+    };
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        std::string name = "bad_token" + std::to_string(i);
+        EXPECT_EXIT(
+            { wl::TraceWorkload t(tempTrace(cases[i].text, name.c_str())); },
+            ::testing::ExitedWithCode(1), cases[i].message)
+            << cases[i].text;
+    }
+}
+
+TEST(TraceWorkload, ReadsFourAccessesAndTheLargestGap)
+{
+    wl::TraceWorkload trace(tempTrace(
+        "trace-v1 1\n0 4294967294 r1 w2 rA wffffffffffffffff\n", "edge"));
+    auto stream = trace.makeStream(0, 4, 1);
+    wl::MemOp op;
+    ASSERT_TRUE(stream->next(op));
+    EXPECT_EQ(op.computeGap, 4294967294u);
+    EXPECT_EQ(op.instructions, 4294967295u);
+    ASSERT_EQ(op.numPages, 4);
+    EXPECT_EQ(op.pages[2].vpn, 0xAu);
+    EXPECT_EQ(op.pages[3].vpn, 0xffffffffffffffffu);
+    EXPECT_TRUE(op.pages[3].write);
 }
 
 TEST(TraceWorkload, RecordReplayRoundTrip)
