@@ -17,6 +17,7 @@ ComputeUnit::ComputeUnit(sim::EventQueue &eq,
 void
 ComputeUnit::start()
 {
+    gpu_.attachClient(cuId_, *this);
     for (std::size_t s = 0; s < slots_.size(); ++s)
         acquireCta(s);
 }
@@ -67,14 +68,19 @@ ComputeUnit::issue(std::size_t slot)
     for (int i = 0; i < s.op.numPages; ++i) {
         const wl::PageAccess &access =
             s.op.pages[static_cast<std::size_t>(i)];
-        gpu_.access(cuId_, access.vpn, access.write, [this, slot]() {
-            Slot &sl = slots_[slot];
-            if (--sl.pendingPages == 0) {
-                instructions_ += sl.op.instructions;
-                ++memOps_;
-                step(slot);
-            }
-        });
+        gpu_.access(cuId_, static_cast<int>(slot), access.vpn,
+                    access.write);
+    }
+}
+
+void
+ComputeUnit::pageDone(int slot)
+{
+    Slot &s = slots_[static_cast<std::size_t>(slot)];
+    if (--s.pendingPages == 0) {
+        instructions_ += s.op.instructions;
+        ++memOps_;
+        step(static_cast<std::size_t>(slot));
     }
 }
 

@@ -19,15 +19,20 @@ namespace transfw::gpu {
  * that lets compute-heavy applications (AES, FIR) hide translation
  * latency. Each slot executes whole CTAs pulled from the scheduler.
  */
-class ComputeUnit : public sim::SimObject
+class ComputeUnit : public sim::SimObject, public AccessClient
 {
   public:
     ComputeUnit(sim::EventQueue &eq, const cfg::SystemConfig &config,
                 Gpu &gpu, int cu_id, const wl::Workload &workload,
                 CtaScheduler &scheduler, std::uint64_t seed);
 
-    /** Begin execution: every slot pulls its first CTA. */
+    /** Begin execution: attach to the GPU as this CU's access client,
+     *  then every slot pulls its first CTA. */
     void start();
+
+    /** A page of @p slot's memory instruction completed; the last one
+     *  retires the instruction and steps the slot. */
+    void pageDone(int slot) override;
 
     /** Observability: charge host time to profiler buckets (nullable). */
     void attachProfiler(obs::SelfProfiler *profiler)

@@ -43,15 +43,14 @@ Gpu::Gpu(sim::EventQueue &eq, const cfg::SystemConfig &config, int gpu_id,
 }
 
 void
-Gpu::access(int cu, mem::Vpn vpn4k, bool write, std::function<void()> done)
+Gpu::access(int cu, int slot, mem::Vpn vpn4k, bool write)
 {
     mem::Vpn vpn = vpn4k >> vpnShift_;
     ++stats_.accesses;
     if (hooks.onPageAccess)
         hooks.onPageAccess(vpn, id_, write);
 
-    schedule(cfg_.l1Tlb.lookupLatency, [this, cu, vpn, write,
-                                        done = std::move(done)]() mutable {
+    schedule(cfg_.l1Tlb.lookupLatency, [this, cu, slot, vpn, write]() {
         tlb::Tlb &l1 = *l1tlbs_[static_cast<std::size_t>(cu)];
         const tlb::TlbEntry *entry = l1.lookup(vpn);
         if (entry) {
@@ -61,12 +60,12 @@ Gpu::access(int cu, mem::Vpn vpn4k, bool write, std::function<void()> done)
                 if (l1.invalidate(vpn))
                     noteL1Erased(cu, vpn);
             } else {
-                dataAccess(cu, vpn, *entry, write, std::move(done));
+                dataAccess(cu, slot, vpn, *entry, write);
                 return;
             }
         }
         bool primary = l1Mshrs_[static_cast<std::size_t>(cu)].allocate(
-            vpn, L1Waiter{write, std::move(done)});
+            vpn, L1Waiter{write, slot});
         if (primary)
             lookupL2(cu, vpn, write);
     });
@@ -202,30 +201,31 @@ Gpu::deliverToL1(int cu, mem::Vpn vpn, const tlb::TlbEntry &entry)
     }
     auto waiters =
         l1Mshrs_[static_cast<std::size_t>(cu)].release(vpn);
-    for (auto &waiter : waiters) {
+    for (const L1Waiter &waiter : waiters) {
         if (waiter.write && !entry.writable) {
             // The fill cannot satisfy a write to a read-only replica:
             // retry, which raises the protection-fault path.
-            access(cu, vpn << vpnShift_, true, std::move(waiter.done));
+            access(cu, waiter.slot, vpn << vpnShift_, true);
         } else {
-            dataAccess(cu, vpn, entry, waiter.write,
-                       std::move(waiter.done));
+            dataAccess(cu, waiter.slot, vpn, entry, waiter.write);
         }
     }
 }
 
 void
-Gpu::dataAccess(int cu, mem::Vpn vpn, const tlb::TlbEntry &entry,
-                bool write, std::function<void()> done)
+Gpu::dataAccess(int cu, int slot, mem::Vpn vpn, const tlb::TlbEntry &entry,
+                bool write)
 {
+    auto done = [this, cu, slot]() {
+        clients_[static_cast<std::size_t>(cu)]->pageDone(slot);
+    };
     if (entry.remote && hooks.remoteAccessLatency) {
         ++stats_.remoteDataAccesses;
-        schedule(hooks.remoteAccessLatency(vpn, entry, id_),
-                 std::move(done));
+        schedule(hooks.remoteAccessLatency(vpn, entry, id_), done);
         return;
     }
     if (!memHierarchy_) {
-        schedule(cfg_.memLatency, std::move(done));
+        schedule(cfg_.memLatency, done);
         return;
     }
     // Detailed model: successive touches of a page sweep its cache
@@ -236,7 +236,7 @@ Gpu::dataAccess(int cu, mem::Vpn vpn, const tlb::TlbEntry &entry,
     std::uint32_t line = lineCursor_[vpn]++ % lines;
     mem::PhysAddr addr =
         entry.ppn * page_bytes + static_cast<mem::PhysAddr>(line) * 64;
-    memHierarchy_->access(cu, addr, write, std::move(done));
+    memHierarchy_->access(cu, addr, write, done);
 }
 
 void

@@ -50,6 +50,21 @@ struct GpuHooks
 };
 
 /**
+ * Issuer of one CU's page accesses: the ComputeUnit, or a counter in
+ * unit tests. Gpu::access() completes every page through pageDone().
+ */
+class AccessClient
+{
+  public:
+    /** Translation and data access of one page issued by @p slot are
+     *  done. */
+    virtual void pageDone(int slot) = 0;
+
+  protected:
+    ~AccessClient() = default;
+};
+
+/**
  * One GPU: 64 CUs' worth of L1 TLBs, the shared L2 TLB, both MSHR
  * levels, the GMMU, local page table, frame allocator and (under
  * Trans-FW) the PRT. The compute side lives in gpu::ComputeUnit; this
@@ -76,13 +91,23 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
 
     int id() const { return id_; }
 
+    /** Complete CU @p cu's page accesses through @p client. */
+    void
+    attachClient(int cu, AccessClient &client)
+    {
+        auto idx = static_cast<std::size_t>(cu);
+        if (clients_.size() <= idx)
+            clients_.resize(idx + 1, nullptr);
+        clients_[idx] = &client;
+    }
+
     /**
-     * Coalesced page access from CU @p cu (VPN in 4 KB units; converted
-     * to the system page size internally). @p done fires when both
+     * Coalesced page access from wavefront slot @p slot of CU @p cu
+     * (VPN in 4 KB units; converted to the system page size
+     * internally). The CU's client gets pageDone(@p slot) when both
      * translation and the data access have completed.
      */
-    void access(int cu, mem::Vpn vpn4k, bool write,
-                std::function<void()> done);
+    void access(int cu, int slot, mem::Vpn vpn4k, bool write);
 
     /** Far-fault reply delivered by the host-side machinery. */
     void translationReturned(mmu::XlatPtr req);
@@ -138,15 +163,15 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
     struct L1Waiter
     {
         bool write;
-        std::function<void()> done;
+        int slot;
     };
 
     void lookupL2(int cu, mem::Vpn vpn, bool write);
     void startTranslation(int cu, mem::Vpn vpn, bool write);
     void finishTranslation(const mmu::XlatPtr &req);
     void deliverToL1(int cu, mem::Vpn vpn, const tlb::TlbEntry &entry);
-    void dataAccess(int cu, mem::Vpn vpn, const tlb::TlbEntry &entry,
-                    bool write, std::function<void()> done);
+    void dataAccess(int cu, int slot, mem::Vpn vpn,
+                    const tlb::TlbEntry &entry, bool write);
 
     /** CU @p cu's L1 copy of @p vpn disappeared (eviction or
      *  shootdown). */
@@ -178,6 +203,7 @@ class Gpu : public sim::SimObject, public mmu::GpuIface
      *  model only). */
     std::unordered_map<mem::Vpn, std::uint32_t> lineCursor_;
     std::unique_ptr<core::PendingRequestTable> prt_;
+    std::vector<AccessClient *> clients_; ///< per CU
     std::uint64_t nextReqId_ = 1;
     Stats stats_;
     obs::AttributionEngine *attrib_ = nullptr;

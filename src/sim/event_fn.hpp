@@ -25,8 +25,10 @@ class EventFn
 {
   public:
     /**
-     * Sized so the common simulator closure — this + a VPN + a couple
-     * of ints + one std::function continuation — stays inline.
+     * Sized so the common simulator closure — this, a pooled request
+     * handle, a VPN and a few scalars — stays inline. A closure that
+     * carries another EventFn or a std::function (a routed message's
+     * continuation) spills to the heap.
      */
     static constexpr std::size_t kInlineBytes = 64;
 

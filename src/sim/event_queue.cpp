@@ -7,40 +7,32 @@
 namespace transfw::sim {
 
 void
-EventQueue::scheduleAt(Tick when, Callback cb)
+EventQueue::pastPanic(Tick when, bool weak) const
 {
-    if (when < now_)
-        panic(strfmt("event scheduled in the past: %llu < %llu",
-                     static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(now_)));
-    push(when, std::move(cb), false);
-    ++strong_;
+    panic(strfmt("%sevent scheduled in the past: %llu < %llu",
+                 weak ? "weak " : "", static_cast<unsigned long long>(when),
+                 static_cast<unsigned long long>(now_)));
 }
 
 void
-EventQueue::scheduleWeakAt(Tick when, Callback cb)
-{
-    if (when < now_)
-        panic(strfmt("weak event scheduled in the past: %llu < %llu",
-                     static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(now_)));
-    push(when, std::move(cb), true);
-}
-
-void
-EventQueue::push(Tick when, Callback cb, bool weak)
+EventQueue::push(Tick when, Node *node)
 {
     ++size_;
     if (size_ > peak_)
         peak_ = size_;
     if (when - now_ < kWindow) {
         std::size_t idx = bucketIndex(when);
-        buckets_[idx].entries.push_back(
-            Entry{nextSeq_++, std::move(cb), weak});
-        liveBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+        Bucket &b = buckets_[idx];
+        if (b.tail) {
+            b.tail->next = node;
+        } else {
+            b.head = node;
+            liveBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+        }
+        b.tail = node;
         return;
     }
-    far_.push_back(FarEntry{when, nextSeq_++, std::move(cb), weak});
+    far_.push_back(FarEntry{when, nextSeq_++, node});
     std::push_heap(far_.begin(), far_.end(), FarLater{});
 }
 
@@ -125,24 +117,17 @@ EventQueue::drainTick(Tick when)
     // least a window earlier, so their sequence numbers precede every
     // bucket entry for the same tick (see the class comment).
     while (strong_ > 0 && !far_.empty() && far_.front().when == when) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        FarEntry e = std::move(far_.back());
-        far_.pop_back();
-        fire(Entry{e.seq, std::move(e.cb), e.weak});
+        fire(popFar());
         ++executed;
     }
-    std::size_t idx = bucketIndex(when);
-    Bucket &b = buckets_[idx];
     // Callbacks may append same-tick events to this very bucket (a
-    // zero-delay reschedule), growing the vector mid-drain: move each
-    // entry out before invoking and re-check the bounds every step.
-    while (strong_ > 0 && !b.drained()) {
-        Entry e = std::move(b.entries[b.head++]);
-        fire(std::move(e));
+    // zero-delay reschedule); each is unlinked in turn, so they run
+    // within this call, behind everything scheduled before them.
+    std::size_t idx = bucketIndex(when);
+    while (strong_ > 0 && buckets_[idx].head) {
+        fire(popBucket(idx));
         ++executed;
     }
-    if (strong_ > 0)
-        resetBucket(idx);
     return executed;
 }
 
@@ -179,50 +164,50 @@ EventQueue::runOne()
 void
 EventQueue::fireOne(Tick when)
 {
-    if (!far_.empty() && far_.front().when == when) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        FarEntry e = std::move(far_.back());
-        far_.pop_back();
-        fire(Entry{e.seq, std::move(e.cb), e.weak});
-        return;
-    }
-    std::size_t idx = bucketIndex(when);
+    if (!far_.empty() && far_.front().when == when)
+        fire(popFar());
+    else
+        fire(popBucket(bucketIndex(when)));
+}
+
+EventQueue::Node *
+EventQueue::popBucket(std::size_t idx)
+{
     Bucket &b = buckets_[idx];
-    Entry e = std::move(b.entries[b.head++]);
-    // Recycle the bucket before invoking: the callback may schedule a
-    // new event at this same tick, which must land in a fresh bucket,
-    // not be wiped by a post-hoc reset.
-    if (b.drained())
-        resetBucket(idx);
-    fire(std::move(e));
+    Node *node = b.head;
+    b.head = node->next;
+    if (!b.head) {
+        b.tail = nullptr;
+        liveBits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    }
+    return node;
+}
+
+EventQueue::Node *
+EventQueue::popFar()
+{
+    std::pop_heap(far_.begin(), far_.end(), FarLater{});
+    Node *node = far_.back().node;
+    far_.pop_back();
+    return node;
 }
 
 void
-EventQueue::fire(Entry e)
+EventQueue::fire(Node *node)
 {
     // Counters drop before the callback runs so pending()/strongPending()
     // observed from inside an event exclude the event itself.
-    if (!e.weak)
+    if (!node->weak)
         --strong_;
     --size_;
     if (hook_) {
         hook_->beginDispatch();
-        e.cb();
+        node->cb();
         hook_->endDispatch();
-        return;
+    } else {
+        node->cb();
     }
-    e.cb();
-}
-
-void
-EventQueue::resetBucket(std::size_t idx)
-{
-    Bucket &b = buckets_[idx];
-    if (b.head == 0 && b.entries.empty())
-        return;
-    b.entries.clear(); // keeps capacity for the next tick landing here
-    b.head = 0;
-    liveBits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    pool_.release(node);
 }
 
 void
@@ -230,8 +215,21 @@ EventQueue::discardAll()
 {
     if (size_ == 0)
         return;
-    for (std::size_t idx = 0; idx < kWindow; ++idx)
-        resetBucket(idx);
+    for (std::size_t w = 0; w < liveBits_.size(); ++w) {
+        for (std::uint64_t bits = liveBits_[w]; bits; bits &= bits - 1) {
+            Bucket &b = buckets_[w * 64 + static_cast<std::size_t>(
+                                              __builtin_ctzll(bits))];
+            for (Node *node = b.head; node;) {
+                Node *next = node->next;
+                pool_.release(node);
+                node = next;
+            }
+            b = Bucket{};
+        }
+        liveBits_[w] = 0;
+    }
+    for (const FarEntry &e : far_)
+        pool_.release(e.node);
     far_.clear();
     size_ = 0;
 }

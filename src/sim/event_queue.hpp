@@ -3,9 +3,11 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.hpp"
+#include "sim/pool.hpp"
 #include "sim/ticks.hpp"
 
 namespace transfw::sim {
@@ -23,16 +25,22 @@ namespace transfw::sim {
  * per-tick buckets (append = already sorted, since the insertion
  * sequence is monotonic), and only far-future events pay for a binary
  * heap. A bitmap over the ring makes "next non-empty tick" a handful
- * of word scans. Combined with the small-buffer-optimised EventFn
- * callback, the schedule → fire round trip on the common path touches
- * no allocator at steady state (bucket vectors retain their capacity).
+ * of word scans.
+ *
+ * Every event lives in a node from the queue's own slab pool, and a
+ * node never moves: schedule() constructs the callback inside it, a
+ * bucket is a FIFO list of nodes, the far heap orders (tick, seq,
+ * node) handles, and the callback runs where it was built before its
+ * node goes back to the freelist. Combined with the small-buffer
+ * EventFn, the schedule → fire round trip moves each callable once and
+ * touches no allocator at steady state.
  *
  * Ordering across the two levels is safe by construction: an event can
  * only ever sit in the heap if it was scheduled ≥ kWindow ticks ahead,
  * i.e. strictly earlier in simulation time than any bucket insertion
- * for the same tick — so its sequence number is strictly smaller, and
- * draining the heap before the bucket at each tick preserves exact
- * (tick, seq) order.
+ * for the same tick — so it was scheduled first, and draining the
+ * heap (ordered by tick, then a sequence number counting far events)
+ * before the bucket at each tick preserves exact (tick, seq) order.
  */
 class EventQueue
 {
@@ -41,6 +49,11 @@ class EventQueue
 
     /** Near-future window covered by the bucket ring (power of two). */
     static constexpr std::size_t kWindow = 1024;
+
+    EventQueue() = default;
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+    ~EventQueue() { discardAll(); }
 
     /**
      * Observer of event-dispatch boundaries (the obs::SelfProfiler).
@@ -71,14 +84,31 @@ class EventQueue
     /** Current simulation time. */
     Tick now() const { return now_; }
 
-    /** Schedule @p cb to fire @p delay ticks from now. */
-    void schedule(Tick delay, Callback cb) { scheduleAt(now_ + delay, std::move(cb)); }
+    /**
+     * Schedule @p cb to fire @p delay ticks from now. Every schedule
+     * function takes any void() callable (or a Callback) and builds the
+     * Callback inside the event's node.
+     */
+    template <typename F>
+    void
+    schedule(Tick delay, F &&cb)
+    {
+        scheduleAt(now_ + delay, std::forward<F>(cb));
+    }
 
     /**
      * Schedule @p cb at absolute tick @p when.
      * Scheduling in the past is an invariant violation (panics).
      */
-    void scheduleAt(Tick when, Callback cb);
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&cb)
+    {
+        if (when < now_)
+            pastPanic(when, false);
+        push(when, pool_.acquire(std::forward<F>(cb), false));
+        ++strong_;
+    }
 
     /**
      * Schedule @p cb like schedule(), but weakly: weak events never
@@ -89,13 +119,22 @@ class EventQueue
      * interval sampler) use this so instrumentation cannot perturb
      * the measured end of the simulation.
      */
-    void scheduleWeak(Tick delay, Callback cb)
+    template <typename F>
+    void
+    scheduleWeak(Tick delay, F &&cb)
     {
-        scheduleWeakAt(now_ + delay, std::move(cb));
+        scheduleWeakAt(now_ + delay, std::forward<F>(cb));
     }
 
     /** Absolute-tick variant of scheduleWeak(). */
-    void scheduleWeakAt(Tick when, Callback cb);
+    template <typename F>
+    void
+    scheduleWeakAt(Tick when, F &&cb)
+    {
+        if (when < now_)
+            pastPanic(when, true);
+        push(when, pool_.acquire(std::forward<F>(cb), true));
+    }
 
     /** True when no events remain (strong or weak). */
     bool empty() const { return size_ == 0; }
@@ -151,11 +190,15 @@ class EventQueue
     void discardPending() { discardAll(); }
 
   private:
-    /** Near event parked in a bucket: its tick is the bucket's tick. */
-    struct Entry
+    /** One event. Its tick is its bucket's, or its far-heap entry's. */
+    struct Node
     {
-        std::uint64_t seq;
+        template <typename F>
+        Node(F &&fn, bool w) : cb(std::forward<F>(fn)), weak(w)
+        {}
+
         Callback cb;
+        Node *next = nullptr; ///< next event of the same bucket
         bool weak;
     };
 
@@ -164,21 +207,18 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
-        bool weak;
+        Node *node;
     };
 
     /**
-     * One tick's events. Entries are appended in seq order and
-     * consumed front-to-back via @p head (so runOne() can leave a tick
-     * half-drained); the vector keeps its capacity across reuse.
+     * One tick's events, in seq order. A node is unlinked before its
+     * callback runs, so runOne() can leave a tick half-drained and
+     * same-tick events scheduled meanwhile join behind the rest.
      */
     struct Bucket
     {
-        std::vector<Entry> entries;
-        std::size_t head = 0;
-
-        bool drained() const { return head >= entries.size(); }
+        Node *head = nullptr;
+        Node *tail = nullptr;
     };
 
     struct FarLater
@@ -192,18 +232,25 @@ class EventQueue
         }
     };
 
-    void push(Tick when, Callback cb, bool weak);
+    [[noreturn]] void pastPanic(Tick when, bool weak) const;
+    void push(Tick when, Node *node);
     /** Earliest pending tick; kMaxTick when nothing is queued. */
     Tick nextEventTick() const;
     /** Execute all events at tick @p when (== now_) in seq order. */
     std::uint64_t drainTick(Tick when);
     /** Pop + execute one event; @p when must be nextEventTick(). */
     void fireOne(Tick when);
-    /** Execute @p e (counters first, mirroring the pop-then-run order). */
-    void fire(Entry e);
+    /** Unlink the first event of bucket @p idx (which holds one). */
+    Node *popBucket(std::size_t idx);
+    /** Unlink the earliest far event. */
+    Node *popFar();
+    /**
+     * Execute the unlinked @p node in place (counters first, mirroring
+     * the pop-then-run order), then return it to the pool.
+     */
+    void fire(Node *node);
     /** Destroy everything still queued (trailing weak events). */
     void discardAll();
-    void resetBucket(std::size_t idx);
 
     std::size_t bucketIndex(Tick when) const
     {
@@ -211,13 +258,15 @@ class EventQueue
     }
 
     Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
+    std::uint64_t nextSeq_ = 0; ///< insertion order of far events
     std::size_t strong_ = 0;
     std::size_t size_ = 0; ///< live events, strong + weak
     std::size_t peak_ = 0; ///< lifetime high-water mark of size_
     DispatchHook *hook_ = nullptr;
+    /** Nodes of every queued event; grows on the first schedule(). */
+    ObjectPool<Node> pool_;
     std::array<Bucket, kWindow> buckets_;
-    /** Bit i set ⇔ buckets_[i] has undrained entries. */
+    /** Bit i set ⇔ buckets_[i] holds an event. */
     std::array<std::uint64_t, kWindow / 64> liveBits_{};
     std::vector<FarEntry> far_; ///< min-heap via std::push/pop_heap
 };

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,17 +18,20 @@ class Pooled;
 
 /**
  * Slab allocator for fixed-type simulation objects (translation
- * requests, remote lookups). Objects are placement-constructed in
- * slab-backed slots and recycled through an intrusive freelist, so the
- * request path stops paying a malloc/free (plus a shared_ptr control
- * block) per translation: after warmup, acquire/release never touch
- * the system allocator.
+ * requests, remote lookups, event-queue nodes). Objects are
+ * placement-constructed in slab-backed slots and recycled through an
+ * intrusive freelist, so the request path stops paying a malloc/free
+ * (plus a shared_ptr control block) per translation: after warmup,
+ * acquire/release never touch the system allocator. A T deriving from
+ * Pooled<T> also learns its home pool, so PoolRef can release it; any
+ * other T is released explicitly by its owner.
  *
- * Threading contract: each thread gets its own pool via local(), and
- * every object is acquired and released on the thread that owns its
- * pool. A simulation runs start to finish on one thread (SweepRunner
- * runs whole simulations in parallel, never parts of one), so nothing
- * here is synchronized.
+ * Threading contract: a pool is used by one thread at a time. Each
+ * thread gets its own pool via local(), and every object is acquired
+ * and released on the thread that owns its pool; an EventQueue owns
+ * the pool of its nodes. A simulation runs start to finish on one
+ * thread (SweepRunner runs whole simulations in parallel, never parts
+ * of one), so nothing here is synchronized.
  */
 template <typename T>
 class ObjectPool
@@ -67,7 +71,8 @@ class ObjectPool
             free_ = slot;
             throw;
         }
-        static_cast<Pooled<T> &>(*obj).homePool_ = this;
+        if constexpr (std::is_base_of_v<Pooled<T>, T>)
+            static_cast<Pooled<T> &>(*obj).homePool_ = this;
         ++live_;
         return obj;
     }

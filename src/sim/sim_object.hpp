@@ -39,10 +39,11 @@ class SimObject
 
   protected:
     /** Schedule a member callback @p delay ticks in the future. */
+    template <typename F>
     void
-    schedule(Tick delay, EventQueue::Callback cb)
+    schedule(Tick delay, F &&cb)
     {
-        eq_->schedule(delay, std::move(cb));
+        eq_->schedule(delay, std::forward<F>(cb));
     }
 
   private:

@@ -67,6 +67,9 @@ TraceWorkload::TraceWorkload(const std::string &path) : name_(path)
                                        : std::nullopt;
             if (!n || *n <= 0)
                 fail("expected 'trace-v1 <numCtas>'");
+            if (*n > kMaxCtas)
+                fail(sim::strfmt("%d CTAs is above the cap of %d", *n,
+                                 kMaxCtas));
             numCtas_ = *n;
             opsPerCta_.resize(static_cast<std::size_t>(numCtas_));
             have_header = true;

@@ -22,13 +22,22 @@ namespace transfw::wl {
  * (lines of different CTAs may interleave), with 1 to
  * MemOp::kMaxPages accesses. VPNs are 4 KB-page numbers in hex, with
  * no 0x prefix; CTA ids and gaps are decimal, gaps below 2^32 - 1.
- * Each number must be the whole token. The footprint is the set of
+ * Each number must be the whole token, and numCtas is at most
+ * kMaxCtas. The footprint is the set of
  * distinct VPNs; a page's initial owner is the home GPU of the first
  * CTA that touches it.
  */
 class TraceWorkload : public Workload
 {
   public:
+    /**
+     * Largest CTA count a header may declare, 1,024 times the 1,024
+     * CTAs of every shipped generator. The parser sizes its per-CTA
+     * table from the header before it reads an op, so the cap keeps a
+     * typo from asking for tens of gigabytes.
+     */
+    static constexpr int kMaxCtas = 1 << 20;
+
     /** Parse @p path; fatal on malformed input. */
     explicit TraceWorkload(const std::string &path);
 

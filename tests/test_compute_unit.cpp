@@ -21,6 +21,45 @@ tinySpec(int ctas, int ops)
     return spec;
 }
 
+/** One CTA that issues one memory instruction. */
+class OneOpWorkload : public wl::Workload
+{
+  public:
+    explicit OneOpWorkload(const wl::MemOp &op) : op_(op) {}
+
+    const std::string &name() const override { return name_; }
+    int numCtas() const override { return 1; }
+    std::uint64_t footprintPages() const override { return 0; }
+    mem::Vpn baseVpn() const override { return 0; }
+
+    std::unique_ptr<wl::CtaStream>
+    makeStream(int, int, std::uint64_t) const override
+    {
+        struct Once : wl::CtaStream
+        {
+            wl::MemOp op;
+            bool issued = false;
+
+            bool
+            next(wl::MemOp &out) override
+            {
+                if (issued)
+                    return false;
+                out = op;
+                issued = true;
+                return true;
+            }
+        };
+        auto stream = std::make_unique<Once>();
+        stream->op = op_;
+        return stream;
+    }
+
+  private:
+    std::string name_ = "one-op";
+    wl::MemOp op_;
+};
+
 } // namespace
 
 TEST(CtaScheduler, HomeAffineQueues)
@@ -104,4 +143,50 @@ TEST(ComputeUnit, SlotsOverlapLatency)
     };
 
     EXPECT_LT(run_with_slots(2), run_with_slots(1));
+}
+
+TEST(ComputeUnit, RetriedPageRetiresTheOpOnce)
+{
+    // A read and a write of the same read-only replica share one L1
+    // miss. The fill cannot serve the write, so the GPU retries that
+    // page through access() and it takes a protection fault; the
+    // 4-page op still retires exactly once.
+    wl::MemOp op;
+    op.instructions = 3;
+    op.pages = {{{0x100, false}, {0x100, true}, {0x101, false},
+                 {0x102, false}}};
+    op.numPages = 4;
+    OneOpWorkload workload(op);
+    cfg::SystemConfig config;
+    config.numGpus = 1;
+    config.cusPerGpu = 1;
+    config.wavefrontSlotsPerCu = 1;
+
+    sim::EventQueue eq;
+    sim::Rng rng(1);
+    gpu::Gpu gpu(eq, config, 0, rng);
+    int faults = 0;
+    gpu.hooks.sendFault = [&](mmu::XlatPtr req) {
+        // The host grants write access to the replica.
+        ++faults;
+        EXPECT_TRUE(req->protectionFault);
+        req->result.writable = true;
+        gpu.translationReturned(req);
+    };
+    for (mem::Vpn vpn : {0x100, 0x101, 0x102}) {
+        gpu.localPageTable().map(
+            vpn, mem::PageInfo{gpu.frames().allocate(), 0, 1,
+                               /*writable=*/vpn != 0x100, false});
+    }
+
+    gpu::CtaScheduler sched(workload, 1);
+    gpu::ComputeUnit cu(eq, config, gpu, 0, workload, sched, 7);
+    cu.start();
+    eq.run();
+
+    EXPECT_EQ(faults, 1);
+    EXPECT_EQ(gpu.stats().accesses, 5u); // four pages and the retry
+    EXPECT_EQ(cu.memOps(), 1u);
+    EXPECT_EQ(cu.instructions(), 3u);
+    EXPECT_TRUE(cu.done());
 }

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 
@@ -228,4 +229,124 @@ TEST(EventQueue, RunOneAcrossWindowBoundary)
     EXPECT_EQ(eq.now(), 4000u);
     EXPECT_FALSE(eq.runOne());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+namespace {
+
+/** Callable that counts its own moves and calls. */
+struct MoveCounter
+{
+    int *moves;
+    int *calls;
+
+    MoveCounter(int *m, int *c) : moves(m), calls(c) {}
+    MoveCounter(MoveCounter &&other) noexcept
+        : moves(other.moves), calls(other.calls)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &) = delete;
+
+    void operator()() { ++*calls; }
+};
+
+} // namespace
+
+TEST(EventQueue, CallbackIsBuiltInItsNodeAndRunsThere)
+{
+    // schedule() builds the callback in its event's node and the kernel
+    // runs it there: at most the move into the node and one more, for
+    // a near and a far event alike.
+    sim::EventQueue eq;
+    int moves = 0;
+    int calls = 0;
+    eq.schedule(3, MoveCounter{&moves, &calls});
+    eq.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_LE(moves, 2);
+
+    moves = calls = 0;
+    eq.schedule(5000, MoveCounter{&moves, &calls});
+    eq.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_LE(moves, 2);
+
+    // Many events sharing three buckets cost no extra moves either.
+    moves = calls = 0;
+    for (int i = 0; i < 100; ++i)
+        eq.schedule(static_cast<sim::Tick>(i % 3),
+                    MoveCounter{&moves, &calls});
+    eq.run();
+    EXPECT_EQ(calls, 100);
+    EXPECT_LE(moves, 200);
+}
+
+TEST(EventQueue, CallbackSchedulesMoreThanASlabAtItsOwnTick)
+{
+    // The running callback schedules more events than one pool slab
+    // holds, so the pool grows under it. It must keep running in its
+    // own node (its captures stay readable), and every new event fires
+    // after it, in schedule order, at the same tick.
+    sim::EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&eq, &order] {
+        for (int i = 0; i < 300; ++i)
+            eq.schedule(0, [&order, i] { order.push_back(i); });
+        order.push_back(-1);
+    });
+    EXPECT_EQ(eq.run(), 301u);
+    EXPECT_EQ(eq.now(), 5u);
+    ASSERT_EQ(order.size(), 301u);
+    EXPECT_EQ(order[0], -1);
+    for (int i = 0; i < 300; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+}
+
+TEST(EventQueue, EventJoinsBehindAHalfDrainedTick)
+{
+    sim::EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(4, [&order, i] { order.push_back(i); });
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(eq.now(), 4u);
+    eq.schedule(0, [&order] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, DiscardedNodesAreReusedInOrder)
+{
+    // Near and far events at interleaved ticks, scheduled relative to
+    // now(); returns the order they fired in.
+    auto pass = [](sim::EventQueue &eq) {
+        std::vector<int> order;
+        for (int i = 0; i < 600; ++i) {
+            sim::Tick delay = static_cast<sim::Tick>(i % 7) +
+                              (i % 5 == 0 ? 3000 : 0);
+            eq.schedule(delay, [&order, i] { order.push_back(i); });
+        }
+        eq.run();
+        return order;
+    };
+    sim::EventQueue fresh;
+    const std::vector<int> expected = pass(fresh);
+
+    // A finished queue whose trailing weak events, near and far, are
+    // still queued when the multi-queue loop discards them.
+    sim::EventQueue eq;
+    int strong = 0;
+    for (int i = 0; i < 300; ++i) {
+        eq.schedule(static_cast<sim::Tick>(i % 4), [&strong] { ++strong; });
+        eq.scheduleWeak(static_cast<sim::Tick>(10 + i % 9), [] {
+            FAIL() << "a discarded weak event ran";
+        });
+        eq.scheduleWeak(4000, [] { FAIL() << "a discarded weak event ran"; });
+    }
+    eq.runWindow(sim::kMaxTick);
+    EXPECT_EQ(strong, 300);
+    EXPECT_EQ(eq.weakPending(), 600u);
+    eq.discardPending();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(pass(eq), expected);
 }

@@ -6,8 +6,11 @@ using namespace transfw;
 
 namespace {
 
-/** A Gpu wired to capture outgoing faults instead of a real host. */
-struct GpuHarness
+/**
+ * A Gpu wired to capture outgoing faults instead of a real host; it
+ * is every CU's access client and counts completed pages.
+ */
+struct GpuHarness : gpu::AccessClient
 {
     cfg::SystemConfig config;
     sim::EventQueue eq;
@@ -27,7 +30,11 @@ struct GpuHarness
         gpu->hooks.sendFault = [this](mmu::XlatPtr req) {
             faults.push_back(std::move(req));
         };
+        for (int cu = 0; cu < config.cusPerGpu; ++cu)
+            gpu->attachClient(cu, *this);
     }
+
+    void pageDone(int) override { ++completions; }
 
     void
     mapLocal(mem::Vpn vpn4k, bool writable = true)
@@ -40,7 +47,7 @@ struct GpuHarness
     void
     access(int cu, mem::Vpn vpn4k, bool write = false)
     {
-        gpu->access(cu, vpn4k, write, [this]() { ++completions; });
+        gpu->access(cu, 0, vpn4k, write);
     }
 };
 
@@ -175,6 +182,19 @@ TEST(GpuUnit, RemoteEntryUsesRemoteLatencyHook)
     EXPECT_EQ(h.completions, 1);
     EXPECT_EQ(remote_accesses, 1);
     EXPECT_EQ(h.gpu->stats().remoteDataAccesses, 1u);
+}
+
+TEST(GpuUnit, HierarchyDataAccessCompletesThroughPageDone)
+{
+    cfg::SystemConfig config;
+    config.memModel = cfg::MemModel::Hierarchy;
+    GpuHarness h(config);
+    h.mapLocal(0x900);
+    h.access(2, 0x900);
+    h.eq.run();
+    EXPECT_EQ(h.completions, 1);
+    ASSERT_NE(h.gpu->memHierarchy(), nullptr);
+    EXPECT_EQ(h.gpu->memHierarchy()->l1(2).accesses(), 1u);
 }
 
 TEST(GpuUnit, InvalidateTlbsDropsAllLevels)

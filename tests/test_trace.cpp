@@ -91,6 +91,8 @@ TEST(TraceWorkload, MalformedTracesAreFatal)
     } cases[] = {
         {"trace-v1 2x\n", ":1: expected 'trace-v1 <numCtas>'"},
         {"trace-v1 2 3\n", ":1: expected 'trace-v1 <numCtas>'"},
+        {"trace-v1 2000000000\n0 5 r1\n",
+         ":1: 2000000000 CTAs is above the cap of 1048576"},
         {"trace-v1 2\n0x 5 r1\n", ":2: malformed op line: CTA '0x'"},
         {"trace-v1 2\n1.9 5 r1\n", ":2: malformed op line: CTA '1.9'"},
         {"trace-v1 1\n0 5 r1azz\n", ":2: bad vpn in 'r1azz'"},
